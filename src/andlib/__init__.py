@@ -48,7 +48,7 @@ from .metrics import (
 )
 from .model import (
     EnsembleClassifier,
-    LabeledPair,
+    PairSample,
     predict_ensemble,
     sample_pairs,
     train_gbt,

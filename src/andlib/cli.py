@@ -66,11 +66,13 @@ def _write_tsv(rows: list[tuple], header: tuple[str, ...], out_dir: str, name: s
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _data_paths(data_dir: str) -> dict:
@@ -107,7 +109,6 @@ def _run_config(args) -> RunConfig:
         ("seed", "seed"),
         ("train_cap", "train_cap"),
         ("val_cap", "val_cap"),
-        ("test_cap", "test_cap"),
         ("tune_budget", "tune_budget"),
         ("eps_budget", "eps_budget"),
         ("linkage", "linkage"),
@@ -167,7 +168,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     dataset = _load_data(args)
-    result = pipeline.train_pipeline(dataset, cfg)
+    result = pipeline.train_pipeline(dataset, cfg, counts=_load_counts(args, dataset))
     model_path = os.path.join(args.out, "model.json")
     os.makedirs(args.out, exist_ok=True)
     model.save_ensemble(
@@ -198,15 +199,19 @@ def cmd_tune(args) -> int:
         dataset = pipeline.split_blocks(dataset, cfg.seed, cfg.fractions)
     schema = pipeline.resolve_schema(cfg)
     counts = _load_counts(args, dataset)
-    train_pairs = model.sample_pairs(
-        dataset, "train", cfg.train_cap, cfg.seed, counts, schema
-    )
-    val_pairs = model.sample_pairs(
-        dataset, "val", cfg.val_cap, cfg.seed + 101, counts, schema
-    )
+    train = model.sample_pairs(dataset, "train", cfg.train_cap, cfg.seed, counts, schema)
+    val = model.sample_pairs(dataset, "val", cfg.val_cap, cfg.seed + 101, counts, schema)
     budget = args.budget if args.budget is not None else max(cfg.tune_budget, 1)
     hp, score = model.tune_hyperparameters(
-        train_pairs, val_pairs, budget, cfg.seed, schema.monotone_constraints(), schema
+        train.X,
+        train.y,
+        val.X,
+        val.y,
+        budget,
+        cfg.seed,
+        pipeline.gbt_constraints(cfg, schema),
+        schema,
+        overrides=cfg.hyperparams or None,
     )
     _write_json(hp.to_doc(), args.out, "hyperparams.json")
     _write_json(cfg.to_doc(), args.out, "resolved_config.json")
@@ -309,7 +314,7 @@ def cmd_ablate(args) -> int:
     dataset = _load_data(args)
     axes = tuple(a.strip() for a in (args.axes or "").split(",") if a.strip())
     seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else (cfg.seed,)
-    rows = pipeline.run_ablation(dataset, cfg, axes, seeds)
+    rows = pipeline.run_ablation(dataset, cfg, axes, seeds, _load_counts(args, dataset))
     tsv_rows = [
         (r["axis"], f"{r['mean_b3_f1']:.6f}", f"{r['delta']:.6f}") for r in rows
     ]
@@ -359,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_training:
             p.add_argument("--train-cap", dest="train_cap", type=int)
             p.add_argument("--val-cap", dest="val_cap", type=int)
-            p.add_argument("--test-cap", dest="test_cap", type=int)
             p.add_argument("--tune-budget", dest="tune_budget", type=int)
             p.add_argument("--eps-budget", dest="eps_budget", type=int)
             p.add_argument("--linkage", choices=cluster.LINKAGES)

@@ -24,7 +24,7 @@ from . import blocking
 from .blocking import Block
 from .corpus import Dataset, NameCountsTable, Partition
 from .errors import ConfigError
-from .features import FeatureSchema, _select, profile_index
+from .features import FeatureSchema, featurize_pairs
 from .model import EnsembleClassifier
 
 LINKAGES = ("average", "single", "complete", "ward")
@@ -84,22 +84,20 @@ def distance_matrix(
     d = np.zeros((n, n), dtype=np.float64)
     veto = np.zeros((n, n), dtype=bool)
     if n > 1:
-        index = profile_index(dataset)
-        profiles = [index.get(dataset.signatures[m]) for m in block.members]
+        sigs = [dataset.signatures[m] for m in block.members]
         ii, jj = np.triu_indices(n, k=1)
-        X = np.stack(
-            [
-                _select(index.pair_values(profiles[i], profiles[j], counts), schema)
-                for i, j in zip(ii, jj)
-            ]
+        X = featurize_pairs(
+            [(sigs[i], sigs[j]) for i, j in zip(ii, jj)], dataset, counts, schema
         )
         p = classifier.predict_from_features(X)
         d[ii, jj] = d[jj, ii] = 1.0 - p
         if rules.enabled:
+            firsts = [
+                blocking.normalize_name(s.first, s.middle, s.last).first
+                for s in sigs
+            ]
             for i, j in zip(ii, jj):
-                if not names_compatible(
-                    profiles[i].name.first, profiles[j].name.first
-                ):
+                if not names_compatible(firsts[i], firsts[j]):
                     d[i, j] = d[j, i] = 1.0
                     veto[i, j] = veto[j, i] = True
     return DistanceMatrix(block=block, d=d, veto=veto)

@@ -150,6 +150,8 @@ def _load_json(path: str | os.PathLike, check_duplicates: bool = False):
             return json.load(fh)
     except IntegrityError:
         raise
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -169,7 +171,12 @@ def _parse_paper(paper_id: str, raw: dict) -> Paper:
     authors = raw.get("authors", [])
     by_pos: dict[int, str] = {}
     for entry in authors:
-        pos, name = entry["position"], entry["name"]
+        try:
+            pos, name = entry["position"], entry["name"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(
+                f"paper {paper_id!r}: author entry needs position and name"
+            ) from exc
         if pos in by_pos:
             raise IntegrityError(f"paper {paper_id!r}: duplicate author position {pos}")
         by_pos[pos] = name
@@ -181,7 +188,7 @@ def _parse_paper(paper_id: str, raw: dict) -> Paper:
     if paper_id in references:
         raise IntegrityError(f"paper {paper_id!r} lists itself as a reference")
     year = raw.get("year")
-    if year is not None and not isinstance(year, int):
+    if year is not None and type(year) is not int:  # bool is an int subclass
         raise ParseError(f"paper {paper_id!r}: year must be an integer")
     return Paper(
         paper_id=paper_id,
@@ -245,6 +252,8 @@ def load_dataset(
     partitions that do not cover every signature.
     """
     papers_raw = _load_json(papers_file, check_duplicates=True)
+    if not isinstance(papers_raw, dict):
+        raise ParseError(f"{papers_file}: expected an object of papers")
     papers = {pid: _parse_paper(pid, raw) for pid, raw in papers_raw.items()}
 
     sigs_raw = _load_json(signatures_file)

@@ -12,6 +12,10 @@ Missing-value semantics are strict: a slot is NaN iff a required underlying
 field is absent on either side; no value is silently imputed. The "nameless"
 variant of the vector blanks every feature derived from the focal author's
 own name surface form (co-author names are kept).
+
+featurize_pairs is the one path from signature pairs to a feature matrix.
+Each call builds the signature profiles it needs and drops them on return;
+the module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -317,7 +321,7 @@ def default_schema() -> FeatureSchema:
 
 
 class SignatureProfile:
-    """Precomputed per-signature view used by featurize_pair.
+    """Precomputed per-signature view used by featurize_pairs.
 
     Everything string-shaped is normalized and reduced to gram/key sets once
     so pair featurization is mostly set intersections.
@@ -458,13 +462,15 @@ class SignatureProfile:
 
 
 class ProfileIndex:
-    """Lazy cache of SignatureProfile objects (and pair feature values)
-    for one dataset."""
+    """SignatureProfile objects of one dataset, built on first use.
+
+    Each featurize_pairs call owns one index and drops it on return, so no
+    profile outlives the call that built it.
+    """
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
         self._profiles: dict[str, SignatureProfile] = {}
-        self._pairs: dict[tuple[str, str], tuple[object, dict[str, float]]] = {}
 
     def get(self, sig: Signature) -> SignatureProfile:
         prof = self._profiles.get(sig.signature_id)
@@ -476,47 +482,8 @@ class ProfileIndex:
     def pair_values(
         self, pa: SignatureProfile, pb: SignatureProfile, counts: NameCountsTable
     ) -> dict[str, float]:
-        """Memoized schema-independent feature values for one pair.
-
-        Features are symmetric, so pairs are keyed unordered; entries are
-        tied to the counts-table object they were computed against.
-        """
-        key = (
-            (pa.sig_id, pb.sig_id)
-            if pa.sig_id <= pb.sig_id
-            else (pb.sig_id, pa.sig_id)
-        )
-        entry = self._pairs.get(key)
-        if entry is not None and entry[0] is counts:
-            return entry[1]
-        values = _compute_features(pa, pb, counts)
-        self._pairs[key] = (counts, values)
-        return values
-
-
-_PROFILE_STRONG: dict[tuple[int, int], ProfileIndex] = {}
-
-
-def profile_index(dataset: Dataset) -> ProfileIndex:
-    """Profile cache keyed by the identity of the paper/signature tables.
-
-    Features never depend on splits, so datasets that share tables (e.g.
-    the output of split_blocks under different seeds) share one index.
-    """
-    key = (id(dataset.papers), id(dataset.signatures))
-    idx = _PROFILE_STRONG.get(key)
-    if (
-        idx is None
-        or idx._dataset.papers is not dataset.papers
-        or idx._dataset.signatures is not dataset.signatures
-    ):
-        idx = ProfileIndex(dataset)
-        # keep at most a handful of corpora alive; identity reuse after gc
-        # is handled by the `is not` checks above
-        if len(_PROFILE_STRONG) > 8:
-            _PROFILE_STRONG.clear()
-        _PROFILE_STRONG[key] = idx
-    return idx
+        """Schema-independent feature values for one pair."""
+        return _compute_features(pa, pb, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -693,17 +660,7 @@ def featurize_pair(
     schema: FeatureSchema,
 ) -> np.ndarray:
     """Compute the feature vector for one signature pair, in schema order."""
-    index = profile_index(dataset)
-    return _select(index.pair_values(index.get(s1), index.get(s2), counts), schema)
-
-
-def featurize_profiles(
-    pa: SignatureProfile,
-    pb: SignatureProfile,
-    counts: NameCountsTable,
-    schema: FeatureSchema,
-) -> np.ndarray:
-    return _select(_compute_features(pa, pb, counts), schema)
+    return featurize_pairs([(s1, s2)], dataset, counts, schema)[0]
 
 
 def featurize_pairs(
@@ -712,8 +669,9 @@ def featurize_pairs(
     counts: NameCountsTable,
     schema: FeatureSchema,
 ) -> np.ndarray:
-    """Feature matrix (n_pairs, n_features) for many pairs of one dataset."""
-    index = profile_index(dataset)
+    """Feature matrix (n_pairs, n_features) in schema order for many pairs
+    of one dataset. Profiles are built for this call only."""
+    index = ProfileIndex(dataset)
     rows = np.empty((len(pairs), len(schema)), dtype=np.float64)
     for i, (s1, s2) in enumerate(pairs):
         rows[i] = _select(

@@ -98,7 +98,7 @@ def sample_hyperparams(rng: np.random.Generator, overrides: dict | None = None) 
             values[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     if overrides:
         values.update(overrides)
-    return HyperParams(**values)
+    return HyperParams.from_doc(values)
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:

@@ -42,11 +42,17 @@ MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class LabeledPair:
-    sig_a: str
-    sig_b: str
-    label: int
-    features: np.ndarray
+class PairSample:
+    """Labeled within-block pairs as parallel arrays: row i of ``X`` and
+    ``y`` belongs to the pair (``sig_a[i]``, ``sig_b[i]``)."""
+
+    sig_a: tuple[str, ...]
+    sig_b: tuple[str, ...]
+    X: np.ndarray  # (n_pairs, n_features), schema order
+    y: np.ndarray  # (n_pairs,) float64; 1.0 = same author
+
+    def __len__(self) -> int:
+        return len(self.y)
 
 
 def sample_pairs(
@@ -57,7 +63,7 @@ def sample_pairs(
     counts: NameCountsTable,
     schema: FeatureSchema,
     source: Dataset | None = None,
-) -> list[LabeledPair]:
+) -> PairSample:
     """Sample labeled within-block pairs from one split, uniformly without
     replacement, truncated to ``cap``.
 
@@ -92,18 +98,12 @@ def sample_pairs(
     ]
     X = featurize_pairs(sig_pairs, feat_ds, counts, schema)
     gold = dataset.gold.assignment
-    return [
-        LabeledPair(a, b, int(gold[a] == gold[b]), X[i])
-        for i, (a, b) in enumerate(chosen)
-    ]
-
-
-def pairs_to_arrays(pairs: Sequence[LabeledPair]) -> tuple[np.ndarray, np.ndarray]:
-    if not pairs:
-        raise ConfigError("empty pair list")
-    X = np.stack([p.features for p in pairs])
-    y = np.array([p.label for p in pairs], dtype=np.float64)
-    return X, y
+    return PairSample(
+        sig_a=tuple(a for a, _ in chosen),
+        sig_b=tuple(b for _, b in chosen),
+        X=X,
+        y=np.array([gold[a] == gold[b] for a, b in chosen], dtype=np.float64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +112,14 @@ def pairs_to_arrays(pairs: Sequence[LabeledPair]) -> tuple[np.ndarray, np.ndarra
 
 
 def train_gbt(
-    pairs: Sequence[LabeledPair],
+    X: np.ndarray,
+    y: np.ndarray,
     hp: HyperParams,
     constraints: Sequence[int],
     seed: int,
     schema: FeatureSchema,
 ) -> TreeEnsembleModel:
-    """Train the boosted-tree pairwise classifier on labeled pairs."""
-    X, y = pairs_to_arrays(pairs)
+    """Train the boosted-tree pairwise classifier on a labeled feature matrix."""
     if X.shape[1] != len(schema):
         raise SchemaMismatchError(
             f"pair vectors have {X.shape[1]} slots, schema has {len(schema)}"
@@ -151,13 +151,13 @@ class LinearModel:
 
 
 def train_linear(
-    pairs: Sequence[LabeledPair],
+    X: np.ndarray,
+    y: np.ndarray,
     regularization: float = 1e-3,
     seed: int = 0,
     schema: FeatureSchema | None = None,
 ) -> LinearModel:
     """Fit the logistic baseline by Newton iteration (deterministic)."""
-    X, y = pairs_to_arrays(pairs)
     pos = y.sum()
     if pos == 0 or pos == y.size:
         raise ConfigError("training set contains a single class")
@@ -200,11 +200,6 @@ def train_linear(
         medians=medians,
         schema_hash=schema.schema_hash if schema is not None else "",
     )
-
-
-def predict_proba(model, v: np.ndarray) -> float | np.ndarray:
-    """Same-author probability from either classifier kind."""
-    return model.predict_proba(v)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +258,10 @@ def predict_ensemble(
 
 
 def tune_hyperparameters(
-    train_pairs: Sequence[LabeledPair],
-    val_pairs: Sequence[LabeledPair],
+    X: np.ndarray,
+    y: np.ndarray,
+    Xv: np.ndarray,
+    yv: np.ndarray,
     budget: int,
     seed: int,
     constraints: Sequence[int],
@@ -276,15 +273,14 @@ def tune_hyperparameters(
 
     if budget < 1:
         raise ConfigError("tuning budget must be >= 1")
-    if not val_pairs:
-        raise ConfigError("empty validation pair set")
-    Xv, yv = pairs_to_arrays(val_pairs)
+    if not 0 < yv.sum() < yv.size:
+        raise ConfigError("validation pairs need both classes to score AUROC")
     rng = np.random.Generator(np.random.PCG64(seed))
     best_hp: HyperParams | None = None
     best_score = -np.inf
     for trial in range(budget):
         hp = sample_hyperparams(rng, overrides)
-        model = train_gbt(train_pairs, hp, constraints, seed, schema)
+        model = train_gbt(X, y, hp, constraints, seed, schema)
         score = auroc(model.predict_proba(Xv), yv.astype(int))
         if score > best_score:
             best_score = score
@@ -376,19 +372,25 @@ def load_ensemble(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ParseError(
             f"{path}: unsupported model format {doc.get('format_version')!r}"
         )
-    schema = FeatureSchema(
-        tuple(
-            FeatureSpec(name, group, int(mono), bool(nameless))
-            for name, group, mono, nameless in doc["schema"]["features"]
+    try:
+        schema = FeatureSchema(
+            tuple(
+                FeatureSpec(name, group, int(mono), bool(nameless))
+                for name, group, mono, nameless in doc["schema"]["features"]
+            )
         )
-    )
-    if schema.schema_hash != doc["schema"]["hash"]:
+        stored_hash = doc["schema"]["hash"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed schema: {exc!r}") from exc
+    if schema.schema_hash != stored_hash:
         raise SchemaMismatchError(
             f"{path}: stored schema hash does not match its feature list"
         )

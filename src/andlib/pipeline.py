@@ -30,7 +30,7 @@ from .features import (
     mask_nameless,
 )
 from .gbt import HyperParams
-from .model import EnsembleClassifier, LabeledPair, pairs_to_arrays, sample_pairs
+from .model import EnsembleClassifier, sample_pairs
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class RunConfig:
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     train_cap: int = 100_000
     val_cap: int = 10_000
-    test_cap: int = 10_000
     tune_budget: int = 0  # 0 = use default/overridden hyperparameters
     eps_budget: int = 24
     linkage: str = "average"
@@ -94,6 +93,13 @@ def resolve_schema(cfg: RunConfig) -> FeatureSchema:
     return schema.drop(drops) if drops else schema
 
 
+def gbt_constraints(cfg: RunConfig, schema: FeatureSchema) -> tuple[int, ...]:
+    """The schema's monotone constraints, or none when use_monotone is off."""
+    if cfg.use_monotone:
+        return schema.monotone_constraints()
+    return (0,) * len(schema)
+
+
 @dataclass
 class TrainResult:
     classifier: EnsembleClassifier
@@ -107,7 +113,8 @@ class TrainResult:
 
 
 def _train_member(
-    pairs: list[LabeledPair],
+    X: np.ndarray,
+    y: np.ndarray,
     cfg: RunConfig,
     hp: HyperParams | None,
     schema: FeatureSchema,
@@ -115,15 +122,10 @@ def _train_member(
 ):
     if cfg.classifier == "linear":
         return model.train_linear(
-            pairs, regularization=cfg.linear_regularization, seed=cfg.seed, schema=schema
+            X, y, regularization=cfg.linear_regularization, seed=cfg.seed, schema=schema
         )
-    constraints = (
-        schema.monotone_constraints()
-        if cfg.use_monotone
-        else tuple(0 for _ in schema.features)
-    )
     seed = cfg.seed + (1 if nameless else 0)
-    return model.train_gbt(pairs, hp, constraints, seed, schema)
+    return model.train_gbt(X, y, hp, gbt_constraints(cfg, schema), seed, schema)
 
 
 def train_pipeline(
@@ -138,17 +140,16 @@ def train_pipeline(
     if counts is None:
         counts = build_name_counts(dataset)
 
-    train_pairs = sample_pairs(
-        dataset, "train", cfg.train_cap, cfg.seed, counts, schema
-    )
-    val_pairs = sample_pairs(
-        dataset, "val", cfg.val_cap, cfg.seed + 101, counts, schema
-    )
+    train = sample_pairs(dataset, "train", cfg.train_cap, cfg.seed, counts, schema)
+    val = sample_pairs(dataset, "val", cfg.val_cap, cfg.seed + 101, counts, schema)
+    if not len(val):
+        raise ConfigError("empty validation pair set")
     report: dict = {
-        "train_pairs": len(train_pairs),
-        "val_pairs": len(val_pairs),
+        "train_pairs": len(train),
+        "val_pairs": len(val),
         "augmented_pairs": 0,
     }
+    X, y = train.X, train.y
 
     if cfg.knockout:
         probs = {g: cfg.knockout_probability for g in KNOCKOUT_GROUPS}
@@ -157,22 +158,20 @@ def train_pipeline(
             dataset, "train", cfg.train_cap, cfg.seed, counts, schema, source=degraded
         )
         report["augmented_pairs"] = len(extra)
-        train_pairs = train_pairs + extra
+        X = np.concatenate([X, extra.X])
+        y = np.concatenate([y, extra.y])
 
     hp: HyperParams | None = None
     if cfg.classifier == "gbt":
         if cfg.tune_budget > 0:
-            constraints = (
-                schema.monotone_constraints()
-                if cfg.use_monotone
-                else tuple(0 for _ in schema.features)
-            )
             hp, tuned_auroc = model.tune_hyperparameters(
-                train_pairs,
-                val_pairs,
+                X,
+                y,
+                val.X,
+                val.y,
                 cfg.tune_budget,
                 cfg.seed,
-                constraints,
+                gbt_constraints(cfg, schema),
                 schema,
                 overrides=cfg.hyperparams or None,
             )
@@ -180,22 +179,18 @@ def train_pipeline(
         else:
             hp = HyperParams.from_doc(cfg.hyperparams) if cfg.hyperparams else HyperParams()
 
-    full = _train_member(train_pairs, cfg, hp, schema, nameless=False)
+    full = _train_member(X, y, cfg, hp, schema, nameless=False)
     nameless = None
     if cfg.use_nameless:
-        masked = [
-            dataclasses.replace(p, features=mask_nameless(p.features, schema))
-            for p in train_pairs
-        ]
-        nameless = _train_member(masked, cfg, hp, schema, nameless=True)
+        masked = mask_nameless(X, schema)
+        nameless = _train_member(masked, y, cfg, hp, schema, nameless=True)
     ens = EnsembleClassifier(full_model=full, nameless_model=nameless, schema=schema)
 
-    Xv, yv = pairs_to_arrays(val_pairs)
-    yv_int = yv.astype(int)
-    if 0 < yv.sum() < yv.size:
-        report["val_auroc_full"] = metrics.auroc(full.predict_proba(Xv), yv_int)
+    yv_int = val.y.astype(int)
+    if 0 < val.y.sum() < val.y.size:
+        report["val_auroc_full"] = metrics.auroc(full.predict_proba(val.X), yv_int)
         report["val_auroc_ensemble"] = metrics.auroc(
-            ens.predict_from_features(Xv), yv_int
+            ens.predict_from_features(val.X), yv_int
         )
 
     rules = NameRules(enabled=cfg.name_rules)
@@ -341,6 +336,7 @@ def run_ablation(
     cfg: RunConfig,
     axes: tuple[str, ...],
     seeds: tuple[int, ...] = (0,),
+    counts: NameCountsTable | None = None,
 ) -> list[dict]:
     """Baseline plus one row per axis: mean test B-cubed F1 over seeds and
     the delta from baseline (positive delta = the variant is worse)."""
@@ -351,7 +347,7 @@ def run_ablation(
         scores = []
         for seed in seeds:
             run_cfg = dataclasses.replace(axis_cfg, seed=seed)
-            report = train_cluster_eval(dataset, run_cfg)
+            report = train_cluster_eval(dataset, run_cfg, counts=counts)
             scores.append(report["b3_f1"])
         mean = float(np.mean(scores))
         if axis == "baseline":

@@ -43,7 +43,7 @@ from andlib.metrics import (
     facet_report,
     pairwise_macro_f1,
 )
-from andlib.model import EnsembleClassifier, pairs_to_arrays, sample_pairs
+from andlib.model import EnsembleClassifier, sample_pairs
 from andlib.pipeline import RunConfig, evaluate_partition, train_pipeline
 from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
 from andlib import cluster as cluster_mod
@@ -295,8 +295,7 @@ def test_criterion_05_monotone_enforcement(ablation_matrix, hard_corpus):
     assert model.constraints[schema.index("year_diff")] == -1
     assert model.constraints[schema.index("embedding_cosine")] == +1
 
-    pairs = sample_pairs(result.dataset, "train", 100, 555, counts, schema)
-    base_vectors = np.stack([p.features for p in pairs])
+    base_vectors = sample_pairs(result.dataset, "train", 100, 555, counts, schema).X
     rng = np.random.Generator(np.random.PCG64(105))
 
     year_idx = schema.index("year_diff")
@@ -357,8 +356,7 @@ def test_criterion_07_ensemble_contract(ablation_matrix, hard_corpus):
     result = ablation_matrix["baseline"]["result"]
     ens = result.classifier
     schema = result.schema
-    pairs = sample_pairs(result.dataset, "train", 1000, 777, counts, schema)
-    X, _ = pairs_to_arrays(pairs)
+    X = sample_pairs(result.dataset, "train", 1000, 777, counts, schema).X
 
     masked = mask_nameless(X, schema)
     nameless_idx = list(schema.nameless_indices())

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import andlib
+from andlib import model, pipeline
 from andlib.cli import main
-from andlib.corpus import load_dataset, load_partition
+from andlib.corpus import NameCountsTable, load_dataset, load_partition, save_name_counts
 
 FAST_TRAIN = [
     "--config", "",  # replaced per-test
@@ -236,3 +241,167 @@ class TestErrorCodes:
         with pytest.raises(SystemExit) as err:
             run(["cluster", "--data", "x"])  # missing required args
         assert err.value.code == 2
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestBytePin:
+    """The seeded synth -> train -> cluster run of this module, pinned by
+    digest. A change to either digest changes what training or clustering
+    computes and has to be justified as a behaviour change."""
+
+    MODEL_SHA256 = "be7fe31d4aaed1c697376bd2c6fa8d377487c9a42d7a7aad0d894a568acd6636"
+    CLUSTERS_SHA256 = "86f874de2d108e567ba400935027a397c05cf83f1895b5a9ea7af65c238a1c7a"
+
+    def test_model_and_clusters_bytes(self, corpus_dir, trained_dir, tmp_path):
+        out = tmp_path / "pred"
+        assert run(["cluster", "--data", corpus_dir, "--out", out,
+                    "--model", trained_dir / "model.json"]) == 0
+        assert sha256(trained_dir / "model.json") == self.MODEL_SHA256
+        assert sha256(out / "clusters.json") == self.CLUSTERS_SHA256
+
+
+@pytest.fixture()
+def empty_counts(tmp_path):
+    path = tmp_path / "empty_counts.json"
+    save_name_counts(NameCountsTable(), path)
+    return path
+
+
+class TestNameCounts:
+    def test_train_reads_name_counts_flag(
+        self, corpus_dir, fast_config, trained_dir, empty_counts, tmp_path
+    ):
+        out = tmp_path / "nc"
+        assert run(["train", "--data", corpus_dir, "--out", out, "--seed", 2,
+                    "--config", fast_config, "--name-counts", empty_counts]) == 0
+        assert (out / "model.json").read_bytes() != (
+            trained_dir / "model.json"
+        ).read_bytes()
+
+    def test_ablate_passes_name_counts(
+        self, corpus_dir, fast_config, empty_counts, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def fake_run(dataset, cfg, split="test", counts=None):
+            seen.append(counts)
+            return {"b3_f1": 1.0}
+
+        monkeypatch.setattr(pipeline, "train_cluster_eval", fake_run)
+        assert run(["ablate", "--data", corpus_dir, "--out", tmp_path / "ab",
+                    "--config", fast_config, "--name-counts", empty_counts]) == 0
+        assert seen and all(c == NameCountsTable() for c in seen)
+
+
+class TestTune:
+    def test_honours_no_monotone_and_config_hyperparams(
+        self, corpus_dir, fast_config, tmp_path, monkeypatch
+    ):
+        seen = {}
+        real = model.tune_hyperparameters
+
+        def spy(*args, **kwargs):
+            seen["constraints"] = args[6]
+            seen["overrides"] = kwargs.get("overrides")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "tune_hyperparameters", spy)
+        out = tmp_path / "tune"
+        assert run(["tune", "--data", corpus_dir, "--out", out, "--seed", 2,
+                    "--config", fast_config, "--budget", 1, "--no-monotone"]) == 0
+        assert set(seen["constraints"]) == {0}
+        assert seen["overrides"] == {"n_trees": 25, "max_leaves": 8}
+        hp = json.loads((out / "hyperparams.json").read_text())
+        assert (hp["n_trees"], hp["max_leaves"]) == (25, 8)
+
+
+def run_process(argv) -> subprocess.CompletedProcess:
+    """The CLI as its own process, so an uncaught exception shows as a
+    traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(andlib.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "andlib.cli", *[str(a) for a in argv]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def write_corpus(data, papers) -> None:
+    data.mkdir()
+    (data / "papers.json").write_text(json.dumps(papers))
+    (data / "signatures.json").write_text(json.dumps(
+        [{"signature_id": "s", "paper_id": "p", "author_position": 1, "last": "B"}]
+    ))
+
+
+def eval_argv(data, tmp_path):
+    return ["eval", "--data", data, "--pred", data / "papers.json",
+            "--out", tmp_path / "o"]
+
+
+class TestTypedErrors:
+    """Bad input ends with a one-line error and the documented exit code,
+    never a traceback."""
+
+    def check(self, argv, code):
+        proc = run_process(argv)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert proc.returncode == code
+
+    def test_missing_config_file(self, corpus_dir, tmp_path):
+        self.check(["train", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--config", tmp_path / "absent.json"], 2)
+
+    def test_config_with_test_cap_is_unknown_key(self, corpus_dir, tmp_path):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"test_cap": 10}))
+        self.check(["train", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--config", cfg], 2)
+
+    def test_missing_model_file(self, corpus_dir, tmp_path):
+        self.check(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--model", tmp_path / "absent.json"], 3)
+
+    def test_missing_corpus_file(self, tmp_path):
+        data = tmp_path / "empty"
+        data.mkdir()
+        self.check(eval_argv(data, tmp_path), 3)
+
+    def test_author_entry_without_position(self, tmp_path):
+        data = tmp_path / "data"
+        write_corpus(data, {"p": {"title": "t", "authors": [{"name": "A B"}]}})
+        self.check(eval_argv(data, tmp_path), 3)
+
+    def test_papers_file_is_a_list(self, tmp_path):
+        data = tmp_path / "data"
+        write_corpus(data, [{"title": "t"}])
+        self.check(eval_argv(data, tmp_path), 3)
+
+    def test_boolean_year(self, tmp_path):
+        data = tmp_path / "data"
+        write_corpus(data, {"p": {"title": "t", "year": True,
+                                  "authors": [{"position": 1, "name": "A B"}]}})
+        self.check(eval_argv(data, tmp_path), 3)
+
+    def test_model_without_schema(self, corpus_dir, trained_dir, tmp_path):
+        doc = json.loads((trained_dir / "model.json").read_text())
+        del doc["schema"]
+        bad = tmp_path / "no_schema.json"
+        bad.write_text(json.dumps(doc))
+        self.check(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--model", bad], 3)
+
+    def test_tune_with_unknown_hyperparameter(self, corpus_dir, tmp_path):
+        cfg = tmp_path / "hp.json"
+        cfg.write_text(json.dumps({"hyperparams": {"bogus": 1}}))
+        self.check(["tune", "--data", corpus_dir, "--out", tmp_path / "t",
+                    "--config", cfg, "--budget", 1], 2)
+
+    def test_tune_on_single_class_validation(self, tmp_path):
+        data = tmp_path / "c30"
+        assert run(["synth", "--out", data, "--seed", 0, "--authors", 30]) == 0
+        self.check(["tune", "--data", data, "--out", tmp_path / "t", "--budget", 1], 2)

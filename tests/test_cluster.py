@@ -232,15 +232,11 @@ def trained(small_corpus):
     counts = build_name_counts(ds)
     pairs = sample_pairs(ds, "train", 5000, 0, counts, schema)
     hp = HyperParams(n_trees=40, max_leaves=12)
-    full = train_gbt(pairs, hp, schema.monotone_constraints(), 0, schema)
+    full = train_gbt(pairs.X, pairs.y, hp, schema.monotone_constraints(), 0, schema)
     from andlib.features import mask_nameless
-    from andlib.model import LabeledPair
 
-    masked = [
-        LabeledPair(p.sig_a, p.sig_b, p.label, mask_nameless(p.features, schema))
-        for p in pairs
-    ]
-    nameless = train_gbt(masked, hp, schema.monotone_constraints(), 1, schema)
+    masked = mask_nameless(pairs.X, schema)
+    nameless = train_gbt(masked, pairs.y, hp, schema.monotone_constraints(), 1, schema)
     ens = EnsembleClassifier(full, nameless, schema)
     return ds, ens, counts, schema
 
@@ -266,6 +262,35 @@ class TestDistanceMatrix:
         )
         p = ens.predict_from_features(np.stack([v]))
         assert D.d[0, 1] == pytest.approx(1.0 - p[0], abs=1e-15)
+
+    def test_equals_one_minus_ensemble_of_same_rows_with_vetoes(self, trained):
+        ds, ens, counts, schema = trained
+        from andlib.blocking import normalize_name
+        from andlib.features import featurize_pairs
+
+        vetoed = 0
+        for block in build_blocks(ds):
+            n = len(block.members)
+            if n < 2:
+                continue
+            sigs = [ds.signatures[m] for m in block.members]
+            ii, jj = np.triu_indices(n, k=1)
+            X = featurize_pairs(
+                [(sigs[i], sigs[j]) for i, j in zip(ii, jj)], ds, counts, schema
+            )
+            firsts = [normalize_name(s.first, s.middle, s.last).first for s in sigs]
+            want = np.zeros((n, n))
+            want[ii, jj] = want[jj, ii] = 1.0 - ens.predict_from_features(X)
+            want_veto = np.zeros((n, n), dtype=bool)
+            for i, j in zip(ii, jj):
+                if not names_compatible(firsts[i], firsts[j]):
+                    want[i, j] = want[j, i] = 1.0
+                    want_veto[i, j] = want_veto[j, i] = True
+            D = distance_matrix(block, ens, ds, counts, schema)
+            assert np.array_equal(D.d, want)
+            assert np.array_equal(D.veto, want_veto)
+            vetoed += int(want_veto.sum())
+        assert vetoed > 0
 
     def test_singleton(self, trained):
         ds, ens, counts, schema = trained

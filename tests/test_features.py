@@ -14,6 +14,7 @@ from andlib.features import (
     char_grams,
     default_schema,
     featurize_pair,
+    featurize_pairs,
     jaro_winkler,
     lcs_distance,
     levenshtein,
@@ -270,6 +271,37 @@ class TestFeaturizePair:
                     k = schema.index("embedding_cosine")
                     if present[k]:
                         assert -1.0 - 1e-12 <= v[k] <= 1.0 + 1e-12
+
+
+class TestFeaturizePairsOracle:
+    def test_every_block_pair_matches_compute_features_both_orders(self, small_corpus):
+        from andlib.blocking import build_blocks
+        from andlib.corpus import build_name_counts
+        from andlib.features import SignatureProfile, _compute_features
+
+        schema = default_schema()
+        counts = build_name_counts(small_corpus)
+        sigs = small_corpus.signatures
+        pairs = [
+            (sigs[block.members[i]], sigs[block.members[j]])
+            for block in build_blocks(small_corpus)
+            for i in range(len(block.members))
+            for j in range(i + 1, len(block.members))
+        ]
+        assert len(pairs) > 100
+
+        def oracle(a, b):
+            pa = SignatureProfile(a, small_corpus)
+            pb = SignatureProfile(b, small_corpus)
+            values = _compute_features(pa, pb, counts)
+            return [values[name] for name in schema.names]
+
+        expected = np.array([oracle(a, b) for a, b in pairs])
+        swapped = [(b, a) for a, b in pairs]
+        forward = featurize_pairs(pairs, small_corpus, counts, schema)
+        backward = featurize_pairs(swapped, small_corpus, counts, schema)
+        assert np.array_equal(forward, expected, equal_nan=True)
+        assert np.array_equal(backward, expected, equal_nan=True)
 
 
 class TestMaskNameless:

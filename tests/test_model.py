@@ -19,7 +19,6 @@ from andlib.features import FeatureSchema, FeatureSpec, default_schema, mask_nam
 from andlib.gbt import HyperParams, TreeEnsembleModel, fit_boosted_trees, sigmoid
 from andlib.model import (
     EnsembleClassifier,
-    LabeledPair,
     LinearModel,
     load_ensemble,
     predict_ensemble,
@@ -42,12 +41,6 @@ def toy_schema(n_features: int, constraints=None, nameless=()):
     )
 
 
-def toy_pairs(X: np.ndarray, y: np.ndarray) -> list[LabeledPair]:
-    return [
-        LabeledPair(f"a{i}", f"b{i}", int(y[i]), X[i]) for i in range(len(y))
-    ]
-
-
 def separable_problem(n=200, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     X = rng.uniform(0, 1, size=(n, 1))
@@ -62,7 +55,7 @@ class TestGbtTraining:
     def test_separable_toy_accuracy(self):
         X, y = separable_problem()
         schema = toy_schema(1)
-        model = train_gbt(toy_pairs(X, y), SMALL_HP, (0,), seed=0, schema=schema)
+        model = train_gbt(X, y, SMALL_HP, (0,), seed=0, schema=schema)
         pred = (model.predict_proba(X) > 0.5).astype(float)
         assert (pred == y).mean() >= 0.99
 
@@ -90,9 +83,7 @@ class TestGbtTraining:
         schema = toy_schema(4)
         paths = []
         for run in range(2):
-            model = train_gbt(
-                toy_pairs(X, y), SMALL_HP, (0, 0, 0, 0), seed=5, schema=schema
-            )
+            model = train_gbt(X, y, SMALL_HP, (0, 0, 0, 0), seed=5, schema=schema)
             ens = EnsembleClassifier(model, None, schema)
             path = tmp_path / f"m{run}.json"
             save_ensemble(path, ens, SMALL_HP, seed=5)
@@ -275,7 +266,9 @@ class TestSamplePairs:
         assert len(pairs) == 6 + 3  # C(4,2) + C(3,2)
 
     def test_cap_zero(self):
-        assert sample_pairs(self.ds, "train", 0, 0, self.counts, self.schema) == []
+        pairs = sample_pairs(self.ds, "train", 0, 0, self.counts, self.schema)
+        assert len(pairs) == 0
+        assert pairs.X.shape == (0, len(self.schema)) and pairs.y.shape == (0,)
 
     def test_cap_truncates(self):
         pairs = sample_pairs(self.ds, "train", 4, 0, self.counts, self.schema)
@@ -284,9 +277,9 @@ class TestSamplePairs:
     def test_deterministic(self):
         a = sample_pairs(self.ds, "train", 5, 3, self.counts, self.schema)
         b = sample_pairs(self.ds, "train", 5, 3, self.counts, self.schema)
-        assert [(p.sig_a, p.sig_b, p.label) for p in a] == [
-            (p.sig_a, p.sig_b, p.label) for p in b
-        ]
+        assert (a.sig_a, a.sig_b) == (b.sig_a, b.sig_b)
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.X, b.X, equal_nan=True)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ConfigError):
@@ -296,22 +289,23 @@ class TestSamplePairs:
         ds = split_blocks(small_corpus, seed=2)
         counts = build_name_counts(ds)
         pairs = sample_pairs(ds, "train", 500, 9, counts, self.schema)
-        assert pairs
+        assert len(pairs)
+        assert pairs.X.shape == (len(pairs), len(self.schema))
         gold = ds.gold.assignment
-        for p in pairs:
-            assert p.label == int(gold[p.sig_a] == gold[p.sig_b])
+        for a, b, label in zip(pairs.sig_a, pairs.sig_b, pairs.y):
+            assert label == int(gold[a] == gold[b])
         blocks = {
             m: b.key for b in build_blocks(ds) for m in b.members
         }
-        for p in pairs:
-            assert blocks[p.sig_a] == blocks[p.sig_b]
-            assert ds.splits[blocks[p.sig_a]] == "train"
+        for a, b in zip(pairs.sig_a, pairs.sig_b):
+            assert blocks[a] == blocks[b]
+            assert ds.splits[blocks[a]] == "train"
 
 
 class TestLinearModel:
     def test_separable_toy(self):
         X, y = separable_problem()
-        model = train_linear(toy_pairs(X, y))
+        model = train_linear(X, y)
         pred = (np.asarray(model.predict_proba(X)) > 0.5).astype(float)
         assert (pred == y).mean() >= 0.99
 
@@ -323,8 +317,8 @@ class TestLinearModel:
 
     def test_duplicated_dataset_identical_model(self):
         X, y = separable_problem(n=80, seed=3)
-        once = train_linear(toy_pairs(X, y))
-        twice = train_linear(toy_pairs(np.vstack([X, X]), np.concatenate([y, y])))
+        once = train_linear(X, y)
+        twice = train_linear(np.vstack([X, X]), np.concatenate([y, y]))
         assert np.allclose(once.weights, twice.weights, atol=1e-6)
         assert once.bias == pytest.approx(twice.bias, abs=1e-6)
 
@@ -332,7 +326,7 @@ class TestLinearModel:
         rng = np.random.Generator(np.random.PCG64(0))
         X = rng.uniform(0, 1, size=(100, 2))
         y = (X[:, 0] > 0.5).astype(float)
-        model = train_linear(toy_pairs(X, y))
+        model = train_linear(X, y)
         v = np.array([np.nan, 0.3])
         filled = np.array([model.medians[0], 0.3])
         assert model.predict_proba(v) == model.predict_proba(filled)
@@ -346,13 +340,9 @@ class TestEnsemble:
         X = rng.uniform(0, 1, size=(n, 2))
         y = ((0.7 * X[:, 0] + 0.6 * X[:, 1]) > 0.65).astype(float)
         schema = toy_schema(2, nameless=(0,))
-        pairs = toy_pairs(X, y)
-        full = train_gbt(pairs, SMALL_HP, (0, 0), seed=0, schema=schema)
-        masked = [
-            LabeledPair(p.sig_a, p.sig_b, p.label, mask_nameless(p.features, schema))
-            for p in pairs
-        ]
-        nameless = train_gbt(masked, SMALL_HP, (0, 0), seed=1, schema=schema)
+        full = train_gbt(X, y, SMALL_HP, (0, 0), seed=0, schema=schema)
+        masked = mask_nameless(X, schema)
+        nameless = train_gbt(masked, y, SMALL_HP, (0, 0), seed=1, schema=schema)
         return EnsembleClassifier(full, nameless, schema), X
 
     def test_mean_of_members(self):
@@ -386,9 +376,8 @@ class TestEnsemble:
         rng = np.random.Generator(np.random.PCG64(0))
         X = rng.uniform(0, 1, size=(120, len(schema)))
         y = (X[:, 0] > 0.5).astype(float)
-        pairs = toy_pairs(X, y)
-        full = train_gbt(pairs, SMALL_HP, (0,) * len(schema), 0, schema)
-        nameless = train_gbt(pairs, SMALL_HP, (0,) * len(schema), 1, schema)
+        full = train_gbt(X, y, SMALL_HP, (0,) * len(schema), 0, schema)
+        nameless = train_gbt(X, y, SMALL_HP, (0,) * len(schema), 1, schema)
         ens = EnsembleClassifier(full, nameless, schema)
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
         p_ab = predict_ensemble(ens, s1, s2, dataset, counts, schema)
@@ -401,7 +390,7 @@ class TestEnsemble:
         other = schema.drop(["embedding_cosine"])
         X = np.random.default_rng(0).uniform(0, 1, (60, len(other)))
         y = (X[:, 0] > 0.5).astype(float)
-        model = train_gbt(toy_pairs(X, y), SMALL_HP, (0,) * len(other), 0, other)
+        model = train_gbt(X, y, SMALL_HP, (0,) * len(other), 0, other)
         ens = EnsembleClassifier(model, None, other)
         with pytest.raises(SchemaMismatchError):
             predict_ensemble(
@@ -426,32 +415,37 @@ class TestTuneHyperparameters:
 
         X, y = margin_problem(300, 8)
         Xv, yv = margin_problem(100, 9)
-        return toy_pairs(X, y), toy_pairs(Xv, yv)
+        return (X, y), (Xv, yv)
 
     def test_budget_one_returns_single_config(self):
         train, val = self._data()
         schema = toy_schema(1)
-        hp, score = tune_hyperparameters(train, val, 1, 0, (0,), schema)
+        hp, score = tune_hyperparameters(*train, *val, 1, 0, (0,), schema)
         assert isinstance(hp, HyperParams)
         assert score >= 0.9
 
     def test_more_budget_never_worse(self):
         train, val = self._data()
         schema = toy_schema(1)
-        _, s1 = tune_hyperparameters(train, val, 1, 4, (0,), schema)
-        _, s20 = tune_hyperparameters(train, val, 8, 4, (0,), schema)
+        _, s1 = tune_hyperparameters(*train, *val, 1, 4, (0,), schema)
+        _, s20 = tune_hyperparameters(*train, *val, 8, 4, (0,), schema)
         assert s20 >= s1
 
     def test_toy_auroc_near_perfect(self):
         train, val = self._data()
         schema = toy_schema(1)
-        _, score = tune_hyperparameters(train, val, 3, 1, (0,), schema)
+        _, score = tune_hyperparameters(*train, *val, 3, 1, (0,), schema)
         assert score >= 0.99
 
     def test_budget_zero_rejected(self):
         train, val = self._data()
         with pytest.raises(ConfigError):
-            tune_hyperparameters(train, val, 0, 0, (0,), toy_schema(1))
+            tune_hyperparameters(*train, *val, 0, 0, (0,), toy_schema(1))
+
+    def test_single_class_validation_rejected(self):
+        train, (Xv, yv) = self._data()
+        with pytest.raises(ConfigError):
+            tune_hyperparameters(*train, Xv, np.ones_like(yv), 1, 0, (0,), toy_schema(1))
 
 
 class TestSerialization:
@@ -461,9 +455,8 @@ class TestSerialization:
         X[rng.uniform(0, 1, X.shape) < 0.2] = np.nan
         y = (np.nan_to_num(X[:, 0]) > 0.4).astype(float)
         schema = toy_schema(3, constraints=[+1, 0, -1], nameless=(0,))
-        pairs = toy_pairs(X, y)
-        full = train_gbt(pairs, SMALL_HP, schema.monotone_constraints(), 0, schema)
-        nameless = train_gbt(pairs, SMALL_HP, schema.monotone_constraints(), 1, schema)
+        full = train_gbt(X, y, SMALL_HP, schema.monotone_constraints(), 0, schema)
+        nameless = train_gbt(X, y, SMALL_HP, schema.monotone_constraints(), 1, schema)
         ens = EnsembleClassifier(full, nameless, schema)
         path = tmp_path / "model.json"
         save_ensemble(path, ens, SMALL_HP, seed=0, cluster_params={"eps": 0.4})
@@ -478,7 +471,7 @@ class TestSerialization:
     def test_refuses_wrong_schema(self, tmp_path):
         X, y = separable_problem(n=60)
         schema = toy_schema(1)
-        model = train_gbt(toy_pairs(X, y), SMALL_HP, (0,), 0, schema)
+        model = train_gbt(X, y, SMALL_HP, (0,), 0, schema)
         path = tmp_path / "model.json"
         save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
         with pytest.raises(SchemaMismatchError):
@@ -487,7 +480,7 @@ class TestSerialization:
     def test_refuses_tampered_hash(self, tmp_path):
         X, y = separable_problem(n=60)
         schema = toy_schema(1)
-        model = train_gbt(toy_pairs(X, y), SMALL_HP, (0,), 0, schema)
+        model = train_gbt(X, y, SMALL_HP, (0,), 0, schema)
         path = tmp_path / "model.json"
         save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
         doc = json.loads(path.read_text())
