@@ -9,6 +9,7 @@ from .cluster import (
     cluster_corpus,
     dbscan_cluster,
     distance_matrix,
+    distance_matrices,
     hac_cluster,
     tune_eps,
 )

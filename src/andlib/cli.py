@@ -199,8 +199,9 @@ def cmd_tune(args) -> int:
         dataset = pipeline.split_blocks(dataset, cfg.seed, cfg.fractions)
     schema = pipeline.resolve_schema(cfg)
     counts = _load_counts(args, dataset)
-    train = model.sample_pairs(dataset, "train", cfg.train_cap, cfg.seed, counts, schema)
-    val = model.sample_pairs(dataset, "val", cfg.val_cap, cfg.seed + 101, counts, schema)
+    train, val = pipeline.sample_train_val(
+        dataset, cfg, counts, schema, blocking.build_blocks(dataset)
+    )
     budget = args.budget if args.budget is not None else max(cfg.tune_budget, 1)
     hp, score = model.tune_hyperparameters(
         train.X,

@@ -29,6 +29,11 @@ from .model import EnsembleClassifier
 
 LINKAGES = ("average", "single", "complete", "ward")
 
+# Pairs the ensemble scores per call: blocks are gathered, whole, until a
+# group holds at least this many, so the per-call cost of tree prediction
+# is paid once per group instead of once per block.
+SCORE_BATCH_PAIRS = 8192
+
 
 @dataclass(frozen=True)
 class NameRules:
@@ -72,26 +77,20 @@ def names_compatible(first_a: str, first_b: str) -> bool:
 
 def distance_matrix(
     block: Block,
-    classifier: EnsembleClassifier,
+    p: np.ndarray,
     dataset: Dataset,
-    counts: NameCountsTable,
-    schema: FeatureSchema,
     rules: NameRules = NameRules(),
 ) -> DistanceMatrix:
-    """Pairwise not-same-author distances for one block."""
-    classifier.check_hash(schema)
+    """One block's distances from the same-author probabilities ``p`` of its
+    ``triu_indices(n, k=1)`` pairs, with the first-name vetoes applied."""
     n = len(block.members)
     d = np.zeros((n, n), dtype=np.float64)
     veto = np.zeros((n, n), dtype=bool)
     if n > 1:
-        sigs = [dataset.signatures[m] for m in block.members]
         ii, jj = np.triu_indices(n, k=1)
-        X = featurize_pairs(
-            [(sigs[i], sigs[j]) for i, j in zip(ii, jj)], dataset, counts, schema
-        )
-        p = classifier.predict_from_features(X)
         d[ii, jj] = d[jj, ii] = 1.0 - p
         if rules.enabled:
+            sigs = [dataset.signatures[m] for m in block.members]
             firsts = [
                 blocking.normalize_name(s.first, s.middle, s.last).first
                 for s in sigs
@@ -101,6 +100,63 @@ def distance_matrix(
                     d[i, j] = d[j, i] = 1.0
                     veto[i, j] = veto[j, i] = True
     return DistanceMatrix(block=block, d=d, veto=veto)
+
+
+def _n_pairs(block: Block) -> int:
+    n = len(block.members)
+    return n * (n - 1) // 2
+
+
+def _score_groups(blocks: Sequence[Block]) -> list[list[Block]]:
+    """Consecutive runs of whole blocks, each closed once it holds at least
+    ``SCORE_BATCH_PAIRS`` pairs (the last run may hold fewer)."""
+    groups: list[list[Block]] = []
+    group: list[Block] = []
+    pairs = 0
+    for block in blocks:
+        group.append(block)
+        pairs += _n_pairs(block)
+        if pairs >= SCORE_BATCH_PAIRS:
+            groups.append(group)
+            group, pairs = [], 0
+    if group:
+        groups.append(group)
+    return groups
+
+
+def distance_matrices(
+    blocks: Sequence[Block],
+    classifier: EnsembleClassifier,
+    dataset: Dataset,
+    counts: NameCountsTable,
+    schema: FeatureSchema,
+    rules: NameRules = NameRules(),
+) -> list[DistanceMatrix]:
+    """Pairwise not-same-author distances for each block, in order.
+
+    Features are built one block at a time, so only one block's signature
+    profiles are alive at once; the ensemble then scores a whole group of
+    blocks in one call.
+    """
+    classifier.check_hash(schema)
+    out: list[DistanceMatrix] = []
+    for group in _score_groups(blocks):
+        X = np.concatenate([_block_features(b, dataset, counts, schema) for b in group])
+        p = classifier.predict_from_features(X)
+        bounds = np.cumsum([_n_pairs(b) for b in group])[:-1]
+        for block, p_block in zip(group, np.split(p, bounds)):
+            out.append(distance_matrix(block, p_block, dataset, rules))
+    return out
+
+
+def _block_features(
+    block: Block, dataset: Dataset, counts: NameCountsTable, schema: FeatureSchema
+) -> np.ndarray:
+    """Features of one block's ``triu_indices(n, k=1)`` pairs."""
+    sigs = [dataset.signatures[m] for m in block.members]
+    ii, jj = np.triu_indices(len(sigs), k=1)
+    pairs = [(sigs[i], sigs[j]) for i, j in zip(ii, jj)]
+    return featurize_pairs(pairs, dataset, counts, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +319,7 @@ def tune_eps(
         raise ConfigError("eps search budget must be >= 1")
     if not val_blocks:
         raise ConfigError("no validation blocks to tune on")
-    matrices = [
-        distance_matrix(b, classifier, dataset, counts, schema, rules)
-        for b in val_blocks
-    ]
+    matrices = distance_matrices(val_blocks, classifier, dataset, counts, schema, rules)
     members = [m for b in val_blocks for m in b.members]
     gold_sub = gold.restrict(members)
     if len(gold_sub) != len(members):
@@ -315,10 +368,15 @@ def _init_worker(classifier, dataset, counts, schema, rules, params):
     _WORKER_STATE["args"] = (classifier, dataset, counts, schema, rules, params)
 
 
-def _cluster_one(block: Block) -> Partition:
-    classifier, dataset, counts, schema, rules, params = _WORKER_STATE["args"]
-    D = distance_matrix(block, classifier, dataset, counts, schema, rules)
+def _cluster_one(D: DistanceMatrix, params: ClusterParams) -> Partition:
+    """Cluster one scored block."""
     return cluster_block(D, params)
+
+
+def _cluster_group(group: list[Block]) -> list[Partition]:
+    classifier, dataset, counts, schema, rules, params = _WORKER_STATE["args"]
+    matrices = distance_matrices(group, classifier, dataset, counts, schema, rules)
+    return [_cluster_one(D, params) for D in matrices]
 
 
 def cluster_corpus(
@@ -334,11 +392,13 @@ def cluster_corpus(
     """Cluster every block and concatenate with globally unique cluster ids.
 
     Results are independent of ``jobs``: blocks are processed in sorted-key
-    order and each block's clustering is deterministic.
+    order, workers take whole scoring groups, and each block's clustering
+    is deterministic.
     """
     if blocks is None:
         blocks = blocking.build_blocks(dataset)
-    if jobs > 1 and len(blocks) > 1:
+    groups = _score_groups(blocks)
+    if jobs > 1 and len(groups) > 1:
         import multiprocessing
 
         ctx = multiprocessing.get_context()
@@ -347,10 +407,11 @@ def cluster_corpus(
             initializer=_init_worker,
             initargs=(classifier, dataset, counts, schema, rules, params),
         ) as pool:
-            parts = pool.map(_cluster_one, blocks)
+            per_group = pool.map(_cluster_group, groups)
     else:
         _init_worker(classifier, dataset, counts, schema, rules, params)
-        parts = [_cluster_one(b) for b in blocks]
+        per_group = [_cluster_group(g) for g in groups]
+    parts = [part for group_parts in per_group for part in group_parts]
 
     assignment: dict[str, str] = {}
     counter = 0

@@ -273,9 +273,15 @@ def load_dataset(
             vectors = emb_raw["vectors"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{embeddings_file}: missing dim/vectors header") from exc
+        if not isinstance(vectors, dict):
+            raise ParseError(f"{embeddings_file}: vectors must be an object")
         for pid, vec in vectors.items():
             if pid not in papers:
                 raise IntegrityError(f"embedding for unknown paper {pid!r}")
+            if not isinstance(vec, list) or not all(
+                type(x) in (int, float) for x in vec  # bool is an int subclass
+            ):
+                raise ParseError(f"embedding for {pid!r} is not a list of numbers")
             if len(vec) != dim:
                 raise DimensionError(
                     f"embedding for {pid!r} has length {len(vec)}, expected {dim}"

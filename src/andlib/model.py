@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import blocking
+from .blocking import Block
 from .corpus import Dataset, NameCountsTable, Signature
 from .errors import ConfigError, ParseError, SchemaMismatchError
 from .features import (
@@ -63,13 +64,15 @@ def sample_pairs(
     counts: NameCountsTable,
     schema: FeatureSchema,
     source: Dataset | None = None,
+    blocks: Sequence[Block] | None = None,
 ) -> PairSample:
     """Sample labeled within-block pairs from one split, uniformly without
     replacement, truncated to ``cap``.
 
     ``source`` lets the caller featurize against a degraded copy of the
     corpus (knockout augmentation) while keeping pair identities and labels
-    from the clean one.
+    from the clean one. ``blocks`` are the blocks of ``dataset`` when the
+    caller has already built them.
     """
     if dataset.splits is None:
         raise ConfigError("dataset has no block splits; run split_blocks first")
@@ -77,9 +80,9 @@ def sample_pairs(
         raise ConfigError("pair sampling requires a gold partition")
     if split not in ("train", "val", "test"):
         raise ConfigError(f"unknown split {split!r}")
-    blocks = [
-        b for b in blocking.build_blocks(dataset) if dataset.splits.get(b.key) == split
-    ]
+    if blocks is None:
+        blocks = blocking.build_blocks(dataset)
+    blocks = [b for b in blocks if dataset.splits.get(b.key) == split]
     if not blocks:
         raise ConfigError(f"split {split!r} contains no blocks")
     candidates: list[tuple[str, str]] = []
@@ -312,23 +315,54 @@ def _member_to_doc(model) -> dict:
     raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _member_from_doc(doc: dict, schema_hash: str):
+def _check_tree(tree: Tree, n_features: int) -> None:
+    """Refuse a tree that ``Tree.predict`` cannot walk to a leaf.
+
+    Children must come after their parent, as the pre-order layout of a
+    fitted tree has them; that also rules out cycles.
+    """
+    arrays = (
+        tree.feature, tree.threshold, tree.left, tree.right,
+        tree.default_left, tree.value,
+    )
+    n = len(tree.feature)
+    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+        raise ValueError("tree arrays are empty or differ in length")
+    if np.any(tree.feature >= n_features):
+        raise ValueError(f"feature index outside the schema's {n_features}")
+    split = tree.feature >= 0
+    leaf = (tree.left == -1) & (tree.right == -1)
+    if np.any(~split & ((tree.feature != -1) | ~leaf)):
+        raise ValueError("a node is a leaf exactly when its feature is -1")
+    nodes = np.arange(n)
+    for child in (tree.left, tree.right):
+        if np.any(split & ((child <= nodes) | (child >= n))):
+            raise ValueError("a child index does not come after its parent")
+
+
+def _member_from_doc(doc: dict, schema_hash: str, n_features: int):
     kind = doc.get("kind")
     if kind == "gbt":
+        trees = [Tree.from_doc(t) for t in doc["trees"]]
+        for tree in trees:
+            _check_tree(tree, n_features)
         return TreeEnsembleModel(
-            trees=[Tree.from_doc(t) for t in doc["trees"]],
+            trees=trees,
             learning_rate=float(doc["learning_rate"]),
             base_score=float(doc["base_score"]),
             schema_hash=schema_hash,
             constraints=tuple(int(c) for c in doc["constraints"]),
         )
     if kind == "linear":
-        return LinearModel(
+        model = LinearModel(
             weights=np.asarray(doc["weights"], dtype=np.float64),
             bias=float(doc["bias"]),
             medians=np.asarray(doc["medians"], dtype=np.float64),
             schema_hash=schema_hash,
         )
+        if model.weights.shape != (n_features,) or model.medians.shape != (n_features,):
+            raise ValueError(f"linear member does not have {n_features} weights")
+        return model
     raise ParseError(f"unknown model kind {kind!r}")
 
 
@@ -376,6 +410,8 @@ def load_ensemble(
         raise ParseError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a model object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ParseError(
             f"{path}: unsupported model format {doc.get('format_version')!r}"
@@ -398,12 +434,15 @@ def load_ensemble(
         raise SchemaMismatchError(
             f"{path}: model schema does not match the requested feature schema"
         )
-    full = _member_from_doc(doc["full"], schema.schema_hash)
-    nameless = (
-        _member_from_doc(doc["nameless"], schema.schema_hash)
-        if doc.get("nameless") is not None
-        else None
-    )
+    try:
+        full = _member_from_doc(doc["full"], schema.schema_hash, len(schema))
+        nameless = (
+            _member_from_doc(doc["nameless"], schema.schema_hash, len(schema))
+            if doc.get("nameless") is not None
+            else None
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed model member: {exc!r}") from exc
     ens = EnsembleClassifier(full_model=full, nameless_model=nameless, schema=schema)
     meta = {
         "hyperparams": doc.get("hyperparams"),

@@ -30,7 +30,7 @@ from .features import (
     mask_nameless,
 )
 from .gbt import HyperParams
-from .model import EnsembleClassifier, sample_pairs
+from .model import EnsembleClassifier, PairSample, sample_pairs
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,25 @@ def _train_member(
     return model.train_gbt(X, y, hp, gbt_constraints(cfg, schema), seed, schema)
 
 
+def sample_train_val(
+    dataset: Dataset,
+    cfg: RunConfig,
+    counts: NameCountsTable,
+    schema: FeatureSchema,
+    blocks: list[blocking.Block],
+) -> tuple[PairSample, PairSample]:
+    """The run's training and validation pairs, from the dataset's blocks."""
+    train = sample_pairs(
+        dataset, "train", cfg.train_cap, cfg.seed, counts, schema, blocks=blocks
+    )
+    val = sample_pairs(
+        dataset, "val", cfg.val_cap, cfg.seed + 101, counts, schema, blocks=blocks
+    )
+    if not len(val):
+        raise ConfigError("empty validation pair set")
+    return train, val
+
+
 def train_pipeline(
     dataset: Dataset, cfg: RunConfig, counts: NameCountsTable | None = None
 ) -> TrainResult:
@@ -140,10 +159,8 @@ def train_pipeline(
     if counts is None:
         counts = build_name_counts(dataset)
 
-    train = sample_pairs(dataset, "train", cfg.train_cap, cfg.seed, counts, schema)
-    val = sample_pairs(dataset, "val", cfg.val_cap, cfg.seed + 101, counts, schema)
-    if not len(val):
-        raise ConfigError("empty validation pair set")
+    blocks = blocking.build_blocks(dataset)
+    train, val = sample_train_val(dataset, cfg, counts, schema, blocks)
     report: dict = {
         "train_pairs": len(train),
         "val_pairs": len(val),
@@ -155,7 +172,8 @@ def train_pipeline(
         probs = {g: cfg.knockout_probability for g in KNOCKOUT_GROUPS}
         degraded = knockout_augment(dataset, cfg.seed + 7, probs)
         extra = sample_pairs(
-            dataset, "train", cfg.train_cap, cfg.seed, counts, schema, source=degraded
+            dataset, "train", cfg.train_cap, cfg.seed, counts, schema,
+            source=degraded, blocks=blocks,
         )
         report["augmented_pairs"] = len(extra)
         X = np.concatenate([X, extra.X])
@@ -194,11 +212,7 @@ def train_pipeline(
         )
 
     rules = NameRules(enabled=cfg.name_rules)
-    val_blocks = [
-        b
-        for b in blocking.build_blocks(dataset)
-        if dataset.splits.get(b.key) == "val"
-    ]
+    val_blocks = [b for b in blocks if dataset.splits.get(b.key) == "val"]
     if cfg.eps is not None:
         eps, val_b3 = cfg.eps, None
     else:

@@ -318,14 +318,14 @@ class TestTune:
         assert (hp["n_trees"], hp["max_leaves"]) == (25, 8)
 
 
-def run_process(argv) -> subprocess.CompletedProcess:
+def run_process(argv, timeout=120) -> subprocess.CompletedProcess:
     """The CLI as its own process, so an uncaught exception shows as a
     traceback on stderr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(andlib.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, "-m", "andlib.cli", *[str(a) for a in argv]],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -346,8 +346,8 @@ class TestTypedErrors:
     """Bad input ends with a one-line error and the documented exit code,
     never a traceback."""
 
-    def check(self, argv, code):
-        proc = run_process(argv)
+    def check(self, argv, code, timeout=120):
+        proc = run_process(argv, timeout)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.stderr.startswith("error: "), proc.stderr
         assert proc.returncode == code
@@ -394,6 +394,37 @@ class TestTypedErrors:
         bad.write_text(json.dumps(doc))
         self.check(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
                     "--model", bad], 3)
+
+    def test_non_numeric_embedding(self, tmp_path):
+        data = tmp_path / "data"
+        write_corpus(data, {"p": {"title": "t",
+                                  "authors": [{"position": 1, "name": "A B"}]}})
+        (data / "embeddings.json").write_text(
+            json.dumps({"dim": 2, "vectors": {"p": [0.5, "x"]}})
+        )
+        self.check(eval_argv(data, tmp_path), 3)
+
+    def cluster_with_model(self, corpus_dir, trained_dir, tmp_path, edit, timeout=120):
+        doc = json.loads((trained_dir / "model.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        self.check(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--model", bad], 3, timeout)
+
+    def test_model_without_full_member(self, corpus_dir, trained_dir, tmp_path):
+        self.cluster_with_model(
+            corpus_dir, trained_dir, tmp_path, lambda doc: doc.pop("full")
+        )
+
+    def test_model_with_cyclic_tree(self, corpus_dir, trained_dir, tmp_path):
+        def loop_root(doc):
+            tree = doc["full"]["trees"][0]
+            assert tree["feature"][0] >= 0
+            tree["left"][0] = 0
+
+        # the unchecked model sends every pair round the root forever
+        self.cluster_with_model(corpus_dir, trained_dir, tmp_path, loop_root, 60)
 
     def test_tune_with_unknown_hyperparameter(self, corpus_dir, tmp_path):
         cfg = tmp_path / "hp.json"

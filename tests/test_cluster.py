@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from andlib import cluster
 from andlib.blocking import Block, build_blocks
 from andlib.cluster import (
     ClusterParams,
@@ -10,7 +11,7 @@ from andlib.cluster import (
     NameRules,
     cluster_corpus,
     dbscan_cluster,
-    distance_matrix,
+    distance_matrices,
     hac_cluster,
     names_compatible,
     tune_eps,
@@ -245,7 +246,7 @@ class TestDistanceMatrix:
     def test_complement_and_symmetry(self, trained):
         ds, ens, counts, schema = trained
         blocks = [b for b in build_blocks(ds) if len(b.members) >= 3]
-        D = distance_matrix(blocks[0], ens, ds, counts, schema)
+        D = distance_matrices([blocks[0]], ens, ds, counts, schema)[0]
         n = len(blocks[0].members)
         assert D.d.shape == (n, n)
         assert np.array_equal(D.d, D.d.T)
@@ -263,16 +264,16 @@ class TestDistanceMatrix:
         p = ens.predict_from_features(np.stack([v]))
         assert D.d[0, 1] == pytest.approx(1.0 - p[0], abs=1e-15)
 
-    def test_equals_one_minus_ensemble_of_same_rows_with_vetoes(self, trained):
+    def test_equals_one_minus_ensemble_of_same_rows_with_vetoes(self, trained, monkeypatch):
         ds, ens, counts, schema = trained
         from andlib.blocking import normalize_name
         from andlib.features import featurize_pairs
 
-        vetoed = 0
-        for block in build_blocks(ds):
+        blocks = build_blocks(ds)
+        # the reference scores each block on its own
+        reference = []
+        for block in blocks:
             n = len(block.members)
-            if n < 2:
-                continue
             sigs = [ds.signatures[m] for m in block.members]
             ii, jj = np.triu_indices(n, k=1)
             X = featurize_pairs(
@@ -286,16 +287,31 @@ class TestDistanceMatrix:
                 if not names_compatible(firsts[i], firsts[j]):
                     want[i, j] = want[j, i] = 1.0
                     want_veto[i, j] = want_veto[j, i] = True
-            D = distance_matrix(block, ens, ds, counts, schema)
-            assert np.array_equal(D.d, want)
-            assert np.array_equal(D.veto, want_veto)
-            vetoed += int(want_veto.sum())
-        assert vetoed > 0
+            reference.append((want, want_veto))
+        assert sum(int(v.sum()) for _, v in reference) > 0
+
+        for batch_pairs in (cluster.SCORE_BATCH_PAIRS, 1, 60):
+            monkeypatch.setattr(cluster, "SCORE_BATCH_PAIRS", batch_pairs)
+            groups = cluster._score_groups(blocks)
+            if batch_pairs == 1:
+                assert len(groups) == len([b for b in blocks if len(b.members) > 1])
+            if batch_pairs == 60:
+                # a group ends on a block of several pairs and the next
+                # starts with one, so their rows meet different calls
+                assert any(
+                    len(a[-1].members) > 2 and len(b[0].members) > 2
+                    for a, b in zip(groups, groups[1:])
+                )
+            matrices = distance_matrices(blocks, ens, ds, counts, schema)
+            assert [D.block for D in matrices] == blocks
+            for D, (want, want_veto) in zip(matrices, reference):
+                assert np.array_equal(D.d, want)
+                assert np.array_equal(D.veto, want_veto)
 
     def test_singleton(self, trained):
         ds, ens, counts, schema = trained
         block = Block("solo", (sorted(ds.signatures)[0],))
-        D = distance_matrix(block, ens, ds, counts, schema)
+        D = distance_matrices([block], ens, ds, counts, schema)[0]
         assert D.d.shape == (1, 1) and D.d[0, 0] == 0.0
 
     def test_incompatible_names_overridden(self, trained):
@@ -309,7 +325,7 @@ class TestDistanceMatrix:
                 ).first
                 for m in block.members
             ]
-            D = distance_matrix(block, ens, ds, counts, schema)
+            D = distance_matrices([block], ens, ds, counts, schema)[0]
             for i in range(len(names)):
                 for j in range(i + 1, len(names)):
                     if names[i] and names[j] and not names_compatible(names[i], names[j]):
@@ -319,9 +335,9 @@ class TestDistanceMatrix:
     def test_rules_disabled(self, trained):
         ds, ens, counts, schema = trained
         for block in build_blocks(ds):
-            D = distance_matrix(
-                block, ens, ds, counts, schema, rules=NameRules(enabled=False)
-            )
+            D = distance_matrices(
+                [block], ens, ds, counts, schema, rules=NameRules(enabled=False)
+            )[0]
             assert not D.veto.any()
 
 
@@ -348,7 +364,7 @@ class TestTuneEps:
             [block], ens, ds, counts, schema, gold, budget=30, seed=0
         )
         part = hac_cluster(
-            distance_matrix(block, ens, ds, counts, schema), "average", eps
+            distance_matrices([block], ens, ds, counts, schema)[0], "average", eps
         )
         assert f1 == 1.0
         assert len(part.clusters()) == len(block.members)
@@ -362,7 +378,7 @@ class TestTuneEps:
             val_blocks, ens, ds, counts, schema, ds.gold, budget=40, seed=2
         )
         matrices = [
-            distance_matrix(b, ens, ds, counts, schema) for b in val_blocks
+            distance_matrices([b], ens, ds, counts, schema)[0] for b in val_blocks
         ]
         from andlib.metrics import b3
 
@@ -402,6 +418,40 @@ class TestClusterCorpus:
         serial = cluster_corpus(ds, ens, params, counts, schema, jobs=1)
         parallel = cluster_corpus(ds, ens, params, counts, schema, jobs=2)
         assert serial == parallel
+
+    def test_jobs_over_several_groups_do_not_change_result(self, trained, monkeypatch):
+        ds, ens, counts, schema = trained
+        params = ClusterParams(linkage="average", eps=0.5)
+        serial = cluster_corpus(ds, ens, params, counts, schema, jobs=1)
+        monkeypatch.setattr(cluster, "SCORE_BATCH_PAIRS", 60)
+        assert len(cluster._score_groups(build_blocks(ds))) > 2
+        assert cluster_corpus(ds, ens, params, counts, schema, jobs=2) == serial
+
+    @pytest.mark.parametrize("batch_pairs", [None, 60])
+    def test_one_ensemble_predict_per_group(self, trained, batch_pairs, monkeypatch):
+        ds, ens, counts, schema = trained
+        if batch_pairs is not None:
+            monkeypatch.setattr(cluster, "SCORE_BATCH_PAIRS", batch_pairs)
+        calls = []
+        original = EnsembleClassifier.predict_from_features
+
+        def counting(self, X):
+            calls.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(EnsembleClassifier, "predict_from_features", counting)
+        blocks = build_blocks(ds)
+        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts, schema)
+        groups = cluster._score_groups(blocks)
+        assert len(calls) == len(groups) < len(blocks)
+        assert sum(calls) == sum(
+            len(b.members) * (len(b.members) - 1) // 2 for b in blocks
+        )
+        if batch_pairs is None:
+            assert calls == [sum(calls)]
+        else:
+            assert len(calls) > 2
+            assert all(n >= batch_pairs for n in calls[:-1])
 
     def test_eps_zero_gives_singletons(self, trained):
         ds, ens, counts, schema = trained

@@ -14,7 +14,7 @@ from andlib.corpus import (
     build_name_counts,
     split_blocks,
 )
-from andlib.errors import ConfigError, SchemaMismatchError
+from andlib.errors import ConfigError, ParseError, SchemaMismatchError
 from andlib.features import FeatureSchema, FeatureSpec, default_schema, mask_nameless
 from andlib.gbt import HyperParams, TreeEnsembleModel, fit_boosted_trees, sigmoid
 from andlib.model import (
@@ -476,6 +476,57 @@ class TestSerialization:
         save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
         with pytest.raises(SchemaMismatchError):
             load_ensemble(path, expected_schema=toy_schema(2))
+
+    def _saved_doc(self, tmp_path, linear=False):
+        X, y = separable_problem(n=60)
+        schema = toy_schema(1)
+        if linear:
+            model = train_linear(X, y, schema=schema)
+        else:
+            model = train_gbt(X, y, SMALL_HP, (0,), 0, schema)
+        path = tmp_path / "model.json"
+        save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "key,node,value",
+        [
+            ("feature", "leaf", 0),  # a leaf that names a feature
+            ("feature", 0, -1),  # a split that names none
+            ("feature", "leaf", -2),
+            ("feature", 0, 1),  # outside the one-feature schema
+            ("left", 0, 0),  # a cycle through the root
+            ("right", 0, "end"),  # past the last node
+        ],
+    )
+    def test_refuses_malformed_tree(self, tmp_path, key, node, value):
+        path, doc = self._saved_doc(tmp_path)
+        tree = doc["full"]["trees"][0]
+        assert tree["feature"][0] >= 0
+        node = tree["feature"].index(-1) if node == "leaf" else node
+        tree[key][node] = len(tree[key]) if value == "end" else value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda tree: tree.pop("value"),
+        lambda tree: tree["threshold"].append(0.0),
+    ])
+    def test_refuses_tree_with_missing_or_ragged_arrays(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc["full"]["trees"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_ensemble(path)
+
+    def test_refuses_linear_member_of_wrong_width(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path, linear=True)
+        load_ensemble(path)
+        doc["full"]["weights"].append(1.0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_ensemble(path)
 
     def test_refuses_tampered_hash(self, tmp_path):
         X, y = separable_problem(n=60)
