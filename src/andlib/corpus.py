@@ -248,8 +248,10 @@ def load_dataset(
     """Load and validate a corpus.
 
     Rejects duplicate ids, dangling references from signatures to papers,
-    inconsistent embedding dimensions, and (when gold clusters are given)
-    partitions that do not cover every signature.
+    inconsistent embedding dimensions, (when gold clusters are given)
+    partitions that do not cover every signature, and a splits file that is
+    not an object of ``SPLITS`` values. Its keys are checked against the
+    blocks where those are built (``pipeline.sample_train_val``).
     """
     papers_raw = _load_json(papers_file, check_duplicates=True)
     if not isinstance(papers_raw, dict):
@@ -296,7 +298,11 @@ def load_dataset(
 
     splits = None
     if splits_file is not None and os.path.exists(splits_file):
-        splits = dict(_load_json(splits_file))
+        splits = _load_json(splits_file)
+        if not isinstance(splits, dict) or any(
+            v not in SPLITS for v in splits.values()
+        ):
+            raise ParseError(f"{splits_file}: expected block key -> one of {SPLITS}")
 
     dataset = Dataset(papers=papers, signatures=signatures, gold=gold, splits=splits)
     validate_dataset(dataset)

@@ -4,6 +4,13 @@ Second-order boosting on the logistic loss. Trees are grown leaf-wise
 (best split first) with exact split search over distinct feature values,
 optionally thinned to ``max_bins`` candidate cuts.
 
+Split search is presorted, as in SLIQ and XGBoost's exact mode: each column
+is argsorted once per fit and filtered to a tree's sampled rows and features;
+a split partitions its node's sorted row ids stably between the children, so
+no node sorts. A node reads values and gradients through its order, takes
+prefix sums, and scores a flat list of only the real cuts (between distinct
+present values) in (feature, cut) order, for both missing-value directions.
+
 Missing values are never imputed: split search runs over present values
 only, and each node learns a default direction for missing rows (whichever
 side yields more gain).
@@ -208,7 +215,8 @@ def _value_loss(G, H, w, l2: float, l1: float):
 
 @dataclass
 class _Node:
-    rows: np.ndarray
+    rows: np.ndarray | None  # ascending row ids; dropped once the node is split
+    order: np.ndarray | None  # (features, rows): each feature's row ids, sorted
     depth: int
     lo: float
     hi: float
@@ -223,22 +231,17 @@ def _node_value(g_sum: float, h_sum: float, lo: float, hi: float, hp: HyperParam
     return min(max(w, lo), hi)
 
 
-def _best_split(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    node: _Node,
-    feats: np.ndarray,
-    constraints: Sequence[int],
-    hp: HyperParams,
-) -> dict | None:
+def _best_split(X, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict | None:
     """Evaluate every candidate (feature, cut, missing-direction) at once.
 
-    Columns are sorted together (NaNs last), so prefix sums over the sorted
-    gradients give left-side statistics for every cut of every feature in a
-    single pass.
+    ``node.order`` holds each feature's row ids already sorted (NaNs last),
+    so prefix sums over the gradients read through it give left-side
+    statistics for every cut of every feature in a single pass. Only real cuts - between
+    distinct present values, after ``max_bins`` thinning - are scored: they
+    form one flat candidate list in (feature, cut) order, evaluated for both
+    missing-value directions as a (2, K) array.
     """
-    rows = node.rows
+    rows, order = node.rows, node.order
     m = rows.size
     if m < 2:
         return None
@@ -249,12 +252,10 @@ def _best_split(
     l2, l1 = hp.l2_regularization, hp.l1_regularization
     parent_loss = float(_value_loss(G_all, H_all, node.value, l2, l1))
 
-    cols = X[rows][:, feats]  # (m, F)
-    order = np.argsort(cols, axis=0, kind="stable")  # NaNs sort last
-    sorted_cols = np.take_along_axis(cols, order, axis=0)
-    g_s = np.cumsum(g_node[order], axis=0)
-    h_s = np.cumsum(h_node[order], axis=0)
-    miss_mask = np.isnan(cols)
+    sorted_vals = X[order, feats[:, None]]  # (F, m)
+    g_s = np.cumsum(g[order], axis=1)
+    h_s = np.cumsum(h[order], axis=1)
+    miss_mask = np.isnan(X[rows][:, feats])
     n_miss = miss_mask.sum(axis=0)  # (F,)
     # exact per-column missing sums: a feature with no missing rows must tie
     # the two routing directions exactly, so the default is deterministic
@@ -263,36 +264,31 @@ def _best_split(
 
     # cut k splits sorted rows [0..k] / [k+1..]; valid only between distinct
     # present values
+    nxt = sorted_vals[:, 1:]
     with np.errstate(invalid="ignore"):
-        can_cut = (sorted_cols[1:] != sorted_cols[:-1]) & ~np.isnan(sorted_cols[1:])
+        can_cut = (nxt != sorted_vals[:, :-1]) & ~np.isnan(nxt)
     # thin to ~max_bins evenly spaced cuts per feature (rank-based, so
     # features with few distinct values keep all their cuts)
     max_cuts = max(1, hp.max_bins - 1)
-    ranks = np.cumsum(can_cut, axis=0)
-    totals = ranks[-1] if ranks.size else np.zeros(len(feats), dtype=np.int64)
-    crowded = totals > max_cuts
-    if np.any(crowded):
-        keep = (ranks * max_cuts) // np.maximum(totals, 1) != (
-            (ranks - 1) * max_cuts
-        ) // np.maximum(totals, 1)
-        can_cut[:, crowded] &= keep[:, crowded]
-    n_cuts = can_cut.sum(axis=0)
-    max_c = int(n_cuts.max()) if n_cuts.size else 0
-    if max_c == 0:
+    totals = can_cut.sum(axis=1)
+    crowded = np.nonzero(totals > max_cuts)[0]
+    if crowded.size:
+        ranks = np.cumsum(can_cut[crowded], axis=1)
+        total = totals[crowded, None]
+        keep = (ranks * max_cuts) // total != ((ranks - 1) * max_cuts) // total
+        can_cut[crowded] &= keep
+    fi, cut = np.nonzero(can_cut)  # candidates in (feature, cut) order
+    if fi.size == 0:
         return None
-    # compact grid: each column's valid cut positions first (ascending),
-    # padded with arbitrary invalid positions that cut_ok masks out
-    pos = np.argsort(~can_cut, axis=0, kind="stable")[:max_c]  # (C, F)
-    cut_ok = np.take_along_axis(can_cut, pos, axis=0)
 
-    GLp = np.take_along_axis(g_s, pos, axis=0)  # prefix sums at each cut
-    HLp = np.take_along_axis(h_s, pos, axis=0)
-    nLp = pos + 1
+    GLp = g_s[fi, cut]  # prefix sums at each cut
+    HLp = h_s[fi, cut]
+    nLp = cut + 1
 
     # axis 0: missing goes left / right
-    GL = np.stack([GLp + G_m, GLp])
-    HL = np.stack([HLp + H_m, HLp])
-    nL = np.stack([nLp + n_miss, np.broadcast_to(nLp, GLp.shape)])
+    GL = np.stack([GLp + G_m[fi], GLp])
+    HL = np.stack([HLp + H_m[fi], HLp])
+    nL = np.stack([nLp + n_miss[fi], nLp])
     GR = G_all - GL
     HR = H_all - HL
     nR = m - nL
@@ -300,66 +296,64 @@ def _best_split(
     wL = np.clip(_optimal_value(GL, HL, l2, l1), node.lo, node.hi)
     wR = np.clip(_optimal_value(GR, HR, l2, l1), node.lo, node.hi)
     msl, mcw = hp.min_samples_leaf, hp.min_child_weight
-    valid = cut_ok[None, :, :] & (nL >= msl) & (nR >= msl) & (HL >= mcw) & (HR >= mcw)
-    cvec = np.asarray([constraints[f] for f in feats], dtype=np.float64)
-    constrained = cvec != 0.0
+    valid = (nL >= msl) & (nR >= msl) & (HL >= mcw) & (HR >= mcw)
+    c = cvec[feats[fi]]
+    constrained = c != 0.0
     if constrained.any():
-        ok = cvec[None, None, :] * (wR - wL) >= 0.0
-        valid &= ok | ~constrained[None, None, :]
+        valid &= (c * (wR - wL) >= 0.0) | ~constrained
     if not valid.any():
         return None
 
     gain = parent_loss - (_value_loss(GL, HL, wL, l2, l1) + _value_loss(GR, HR, wR, l2, l1))
     gain = np.where(valid, gain, -np.inf)
-    # argmax in (feature, direction, cut) order for deterministic tie-breaks
-    flat = np.transpose(gain, (2, 0, 1))
-    k = int(np.argmax(flat))
-    best_gain = float(flat.flat[k])
+    best_gain = float(gain.max())
     if best_gain <= max(hp.min_split_gain, 0.0) + _GAIN_EPS:
         return None
-    n_c = gain.shape[1]
-    fi, rem = divmod(k, 2 * n_c)
-    d, cut_i = divmod(rem, n_c)
-    cut = int(pos[cut_i, fi])
-    lo_v = float(sorted_cols[cut, fi])
-    hi_v = float(sorted_cols[cut + 1, fi])
+    # first best in (feature, direction, cut) order for deterministic
+    # tie-breaks; nonzero lists hits direction-major, cuts ascending
+    d_hit, k_hit = np.nonzero(gain == best_gain)
+    i = int(np.argmin(2 * fi[k_hit] + d_hit))
+    d, k = int(d_hit[i]), int(k_hit[i])
+    lo_v = float(sorted_vals[fi[k], cut[k]])
+    hi_v = float(sorted_vals[fi[k], cut[k] + 1])
     thr = (lo_v + hi_v) / 2.0
     if thr >= hi_v:  # adjacent floats rounded up; keep routing exact
         thr = lo_v
     return {
-        "feature": int(feats[fi]),
+        "feature": int(feats[fi[k]]),
         "threshold": thr,
         "default_left": d == 0,
         "gain": best_gain,
-        "wL": float(wL[d, cut_i, fi]),
-        "wR": float(wR[d, cut_i, fi]),
+        "wL": float(wL[d, k]),
+        "wR": float(wR[d, k]),
     }
 
 
-def _split_rows(X, rows, split) -> tuple[np.ndarray, np.ndarray]:
+def _keep_sorted(order: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Each feature's sorted row ids, stably filtered to ``rows`` (of ``n``)."""
+    member = np.zeros(n, dtype=bool)
+    member[rows] = True
+    return order[member[order]].reshape(len(order), rows.size)
+
+
+def _split_rows(X, node: _Node, split) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each child's ``(rows, order)``: the parent's, partitioned stably."""
+    rows = node.rows
     col = X[rows, split["feature"]]
     go_left = col <= split["threshold"]
     if split["default_left"]:
         go_left |= np.isnan(col)
-    return rows[go_left], rows[~go_left]
+    return [
+        (part, _keep_sorted(node.order, part, X.shape[0]))
+        for part in (rows[go_left], rows[~go_left])
+    ]
 
 
-def _grow_tree(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    feats: np.ndarray,
-    constraints: Sequence[int],
-    hp: HyperParams,
-) -> Tree:
-    root = _Node(
-        rows=rows,
-        depth=0,
-        lo=-np.inf,
-        hi=np.inf,
-        value=_node_value(float(g[rows].sum()), float(h[rows].sum()), -np.inf, np.inf, hp),
-    )
+def _grow_tree(X, g, h, rows, order, feats, cvec, hp: HyperParams) -> Tree:
+    """Grow one tree leaf-wise over ``rows``, with ``order`` presorted."""
+    G, H = float(g[rows].sum()), float(h[rows].sum())
+    value = _node_value(G, H, -np.inf, np.inf, hp)
+    root = _Node(rows, order, depth=0, lo=-np.inf, hi=np.inf, value=value)
     counter = 0
     heap: list[tuple[float, int, _Node]] = []
 
@@ -367,7 +361,7 @@ def _grow_tree(
         nonlocal counter
         if node.depth >= hp.max_depth or node.rows.size < 2 * hp.min_samples_leaf:
             return
-        split = _best_split(X, g, h, node, feats, constraints, hp)
+        split = _best_split(X, g, h, node, feats, cvec, hp)
         if split is not None:
             node.split = split
             heapq.heappush(heap, (-split["gain"], counter, node))
@@ -378,25 +372,18 @@ def _grow_tree(
     while heap and n_leaves < hp.max_leaves:
         _, _, node = heapq.heappop(heap)
         split = node.split
-        rows_l, rows_r = _split_rows(X, node.rows, split)
-        c = int(constraints[split["feature"]])
-        if c == 0:
-            lb_l, ub_l = node.lo, node.hi
-            lb_r, ub_r = node.lo, node.hi
-        else:
-            mid = (split["wL"] + split["wR"]) / 2.0
-            if c > 0:
-                lb_l, ub_l = node.lo, mid
-                lb_r, ub_r = mid, node.hi
-            else:
-                lb_l, ub_l = mid, node.hi
-                lb_r, ub_r = node.lo, mid
-        node.left_child = _Node(
-            rows=rows_l, depth=node.depth + 1, lo=lb_l, hi=ub_l, value=split["wL"]
-        )
-        node.right_child = _Node(
-            rows=rows_r, depth=node.depth + 1, lo=lb_r, hi=ub_r, value=split["wR"]
-        )
+        (rows_l, order_l), (rows_r, order_r) = _split_rows(X, node, split)
+        node.rows = node.order = None
+        # a constrained split caps each child's values at the children's midpoint
+        c, mid = cvec[split["feature"]], (split["wL"] + split["wR"]) / 2.0
+        lb_l, ub_l, lb_r, ub_r = node.lo, node.hi, node.lo, node.hi
+        if c > 0:
+            ub_l = lb_r = mid
+        elif c < 0:
+            lb_l = ub_r = mid
+        depth = node.depth + 1
+        node.left_child = _Node(rows_l, order_l, depth, lb_l, ub_l, split["wL"])
+        node.right_child = _Node(rows_r, order_r, depth, lb_r, ub_r, split["wR"])
         n_leaves += 1
         consider(node.left_child)
         consider(node.right_child)
@@ -464,6 +451,8 @@ def fit_boosted_trees(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     n, n_feat = X.shape
+    presorted = np.argsort(X.T, axis=1, kind="stable")  # NaNs sort last
+    cvec = np.asarray(constraints, dtype=np.float64)
     p0 = min(max(pos / y.size, P_EPS), 1.0 - P_EPS)
     base_score = float(np.log(p0 / (1.0 - p0)))
     raw = np.full(n, base_score, dtype=np.float64)
@@ -483,7 +472,8 @@ def fit_boosted_trees(
             feats = np.sort(rng.permutation(n_feat)[:kf])
         else:
             feats = np.arange(n_feat)
-        tree = _grow_tree(X, g, h, rows, feats, constraints, hp)
+        order = _keep_sorted(presorted[feats], rows, n)
+        tree = _grow_tree(X, g, h, rows, order, feats, cvec, hp)
         trees.append(tree)
         raw += hp.learning_rate * tree.predict(X)
 

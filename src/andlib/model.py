@@ -330,6 +330,8 @@ def _check_tree(tree: Tree, n_features: int) -> None:
         raise ValueError("tree arrays are empty or differ in length")
     if np.any(tree.feature >= n_features):
         raise ValueError(f"feature index outside the schema's {n_features}")
+    if not (np.all(np.isfinite(tree.threshold)) and np.all(np.isfinite(tree.value))):
+        raise ValueError("a threshold or leaf value is not finite")
     split = tree.feature >= 0
     leaf = (tree.left == -1) & (tree.right == -1)
     if np.any(~split & ((tree.feature != -1) | ~leaf)):
@@ -346,10 +348,14 @@ def _member_from_doc(doc: dict, schema_hash: str, n_features: int):
         trees = [Tree.from_doc(t) for t in doc["trees"]]
         for tree in trees:
             _check_tree(tree, n_features)
+        learning_rate = float(doc["learning_rate"])
+        base_score = float(doc["base_score"])
+        if not np.isfinite([learning_rate, base_score]).all():
+            raise ValueError("learning_rate or base_score is not finite")
         return TreeEnsembleModel(
             trees=trees,
-            learning_rate=float(doc["learning_rate"]),
-            base_score=float(doc["base_score"]),
+            learning_rate=learning_rate,
+            base_score=base_score,
             schema_hash=schema_hash,
             constraints=tuple(int(c) for c in doc["constraints"]),
         )

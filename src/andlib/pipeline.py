@@ -22,7 +22,7 @@ from .corpus import (
     knockout_augment,
     split_blocks,
 )
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .features import (
     ADVANCED_NAME_FEATURES,
     FeatureSchema,
@@ -136,6 +136,12 @@ def sample_train_val(
     blocks: list[blocking.Block],
 ) -> tuple[PairSample, PairSample]:
     """The run's training and validation pairs, from the dataset's blocks."""
+    unknown = set(dataset.splits) - {b.key for b in blocks}
+    if unknown:
+        raise IntegrityError(
+            f"splits name {len(unknown)} keys that are not blocks of the corpus, "
+            f"such as {min(unknown)!r}"
+        )
     train = sample_pairs(
         dataset, "train", cfg.train_cap, cfg.seed, counts, schema, blocks=blocks
     )

@@ -2,15 +2,33 @@
 
 Everything here is written straight from the definitions, favoring clarity
 over speed, and deliberately shares no code with the library paths it
-checks.
+checks. The one exception is the GBT split-search reference, which is the
+library's earlier implementation and reuses its tree container and loss
+helpers.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+
+from andlib.gbt import (
+    _GAIN_EPS,
+    P_EPS,
+    HyperParams,
+    Tree,
+    TreeEnsembleModel,
+    _node_value,
+    _optimal_value,
+    _pack_tree,
+    _value_loss,
+    sigmoid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +328,256 @@ def tree_monotone_gap(doc: dict, constraints) -> float:
         else:
             gap = min(gap, lo_l - hi_r)
     return gap
+
+
+# ---------------------------------------------------------------------------
+# GBT split search
+# ---------------------------------------------------------------------------
+#
+# The padded-grid exact split search that ``andlib.gbt`` used before it
+# presorted each column once per fit: every node argsorts its whole
+# (rows x features) matrix and scores a (2, max_cuts, F) grid. Kept verbatim
+# (names prefixed ``_ref``) as the reference the presorted search must match
+# byte for byte; it reuses the library's tree container, tree packer and
+# loss helpers, which the two searches share by design.
+
+
+@dataclass
+class _RefNode:
+    rows: np.ndarray
+    depth: int
+    lo: float
+    hi: float
+    value: float
+    split: dict | None = None
+    left_child: "_RefNode | None" = None
+    right_child: "_RefNode | None" = None
+
+
+def _ref_best_split(
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    node: _RefNode,
+    feats: np.ndarray,
+    constraints: Sequence[int],
+    hp: HyperParams,
+) -> dict | None:
+    """Evaluate every candidate (feature, cut, missing-direction) at once.
+
+    Columns are sorted together (NaNs last), so prefix sums over the sorted
+    gradients give left-side statistics for every cut of every feature in a
+    single pass.
+    """
+    rows = node.rows
+    m = rows.size
+    if m < 2:
+        return None
+    g_node = g[rows]
+    h_node = h[rows]
+    G_all = float(g_node.sum())
+    H_all = float(h_node.sum())
+    l2, l1 = hp.l2_regularization, hp.l1_regularization
+    parent_loss = float(_value_loss(G_all, H_all, node.value, l2, l1))
+
+    cols = X[rows][:, feats]  # (m, F)
+    order = np.argsort(cols, axis=0, kind="stable")  # NaNs sort last
+    sorted_cols = np.take_along_axis(cols, order, axis=0)
+    g_s = np.cumsum(g_node[order], axis=0)
+    h_s = np.cumsum(h_node[order], axis=0)
+    miss_mask = np.isnan(cols)
+    n_miss = miss_mask.sum(axis=0)  # (F,)
+    # exact per-column missing sums: a feature with no missing rows must tie
+    # the two routing directions exactly, so the default is deterministic
+    G_m = g_node @ miss_mask
+    H_m = h_node @ miss_mask
+
+    # cut k splits sorted rows [0..k] / [k+1..]; valid only between distinct
+    # present values
+    with np.errstate(invalid="ignore"):
+        can_cut = (sorted_cols[1:] != sorted_cols[:-1]) & ~np.isnan(sorted_cols[1:])
+    # thin to ~max_bins evenly spaced cuts per feature (rank-based, so
+    # features with few distinct values keep all their cuts)
+    max_cuts = max(1, hp.max_bins - 1)
+    ranks = np.cumsum(can_cut, axis=0)
+    totals = ranks[-1] if ranks.size else np.zeros(len(feats), dtype=np.int64)
+    crowded = totals > max_cuts
+    if np.any(crowded):
+        keep = (ranks * max_cuts) // np.maximum(totals, 1) != (
+            (ranks - 1) * max_cuts
+        ) // np.maximum(totals, 1)
+        can_cut[:, crowded] &= keep[:, crowded]
+    n_cuts = can_cut.sum(axis=0)
+    max_c = int(n_cuts.max()) if n_cuts.size else 0
+    if max_c == 0:
+        return None
+    # compact grid: each column's valid cut positions first (ascending),
+    # padded with arbitrary invalid positions that cut_ok masks out
+    pos = np.argsort(~can_cut, axis=0, kind="stable")[:max_c]  # (C, F)
+    cut_ok = np.take_along_axis(can_cut, pos, axis=0)
+
+    GLp = np.take_along_axis(g_s, pos, axis=0)  # prefix sums at each cut
+    HLp = np.take_along_axis(h_s, pos, axis=0)
+    nLp = pos + 1
+
+    # axis 0: missing goes left / right
+    GL = np.stack([GLp + G_m, GLp])
+    HL = np.stack([HLp + H_m, HLp])
+    nL = np.stack([nLp + n_miss, np.broadcast_to(nLp, GLp.shape)])
+    GR = G_all - GL
+    HR = H_all - HL
+    nR = m - nL
+
+    wL = np.clip(_optimal_value(GL, HL, l2, l1), node.lo, node.hi)
+    wR = np.clip(_optimal_value(GR, HR, l2, l1), node.lo, node.hi)
+    msl, mcw = hp.min_samples_leaf, hp.min_child_weight
+    valid = cut_ok[None, :, :] & (nL >= msl) & (nR >= msl) & (HL >= mcw) & (HR >= mcw)
+    cvec = np.asarray([constraints[f] for f in feats], dtype=np.float64)
+    constrained = cvec != 0.0
+    if constrained.any():
+        ok = cvec[None, None, :] * (wR - wL) >= 0.0
+        valid &= ok | ~constrained[None, None, :]
+    if not valid.any():
+        return None
+
+    gain = parent_loss - (_value_loss(GL, HL, wL, l2, l1) + _value_loss(GR, HR, wR, l2, l1))
+    gain = np.where(valid, gain, -np.inf)
+    # argmax in (feature, direction, cut) order for deterministic tie-breaks
+    flat = np.transpose(gain, (2, 0, 1))
+    k = int(np.argmax(flat))
+    best_gain = float(flat.flat[k])
+    if best_gain <= max(hp.min_split_gain, 0.0) + _GAIN_EPS:
+        return None
+    n_c = gain.shape[1]
+    fi, rem = divmod(k, 2 * n_c)
+    d, cut_i = divmod(rem, n_c)
+    cut = int(pos[cut_i, fi])
+    lo_v = float(sorted_cols[cut, fi])
+    hi_v = float(sorted_cols[cut + 1, fi])
+    thr = (lo_v + hi_v) / 2.0
+    if thr >= hi_v:  # adjacent floats rounded up; keep routing exact
+        thr = lo_v
+    return {
+        "feature": int(feats[fi]),
+        "threshold": thr,
+        "default_left": d == 0,
+        "gain": best_gain,
+        "wL": float(wL[d, cut_i, fi]),
+        "wR": float(wR[d, cut_i, fi]),
+    }
+
+
+def _ref_split_rows(X, rows, split) -> tuple[np.ndarray, np.ndarray]:
+    col = X[rows, split["feature"]]
+    go_left = col <= split["threshold"]
+    if split["default_left"]:
+        go_left |= np.isnan(col)
+    return rows[go_left], rows[~go_left]
+
+
+def _ref_grow_tree(
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    rows: np.ndarray,
+    feats: np.ndarray,
+    constraints: Sequence[int],
+    hp: HyperParams,
+) -> Tree:
+    root = _RefNode(
+        rows=rows,
+        depth=0,
+        lo=-np.inf,
+        hi=np.inf,
+        value=_node_value(float(g[rows].sum()), float(h[rows].sum()), -np.inf, np.inf, hp),
+    )
+    counter = 0
+    heap: list[tuple[float, int, _RefNode]] = []
+
+    def consider(node: _RefNode) -> None:
+        nonlocal counter
+        if node.depth >= hp.max_depth or node.rows.size < 2 * hp.min_samples_leaf:
+            return
+        split = _ref_best_split(X, g, h, node, feats, constraints, hp)
+        if split is not None:
+            node.split = split
+            heapq.heappush(heap, (-split["gain"], counter, node))
+            counter += 1
+
+    consider(root)
+    n_leaves = 1
+    while heap and n_leaves < hp.max_leaves:
+        _, _, node = heapq.heappop(heap)
+        split = node.split
+        rows_l, rows_r = _ref_split_rows(X, node.rows, split)
+        c = int(constraints[split["feature"]])
+        if c == 0:
+            lb_l, ub_l = node.lo, node.hi
+            lb_r, ub_r = node.lo, node.hi
+        else:
+            mid = (split["wL"] + split["wR"]) / 2.0
+            if c > 0:
+                lb_l, ub_l = node.lo, mid
+                lb_r, ub_r = mid, node.hi
+            else:
+                lb_l, ub_l = mid, node.hi
+                lb_r, ub_r = node.lo, mid
+        node.left_child = _RefNode(
+            rows=rows_l, depth=node.depth + 1, lo=lb_l, hi=ub_l, value=split["wL"]
+        )
+        node.right_child = _RefNode(
+            rows=rows_r, depth=node.depth + 1, lo=lb_r, hi=ub_r, value=split["wR"]
+        )
+        n_leaves += 1
+        consider(node.left_child)
+        consider(node.right_child)
+
+    return _pack_tree(root)
+
+
+def reference_fit_boosted_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    hp: HyperParams,
+    constraints: Sequence[int],
+    seed: int,
+) -> TreeEnsembleModel:
+    """``fit_boosted_trees`` over the padded-grid split search."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    pos = float(y.sum())
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n, n_feat = X.shape
+    p0 = min(max(pos / y.size, P_EPS), 1.0 - P_EPS)
+    base_score = float(np.log(p0 / (1.0 - p0)))
+    raw = np.full(n, base_score, dtype=np.float64)
+    trees: list[Tree] = []
+
+    for _ in range(hp.n_trees):
+        p = np.clip(sigmoid(raw), P_EPS, 1.0 - P_EPS)
+        g = p - y
+        h = p * (1.0 - p)
+        if hp.row_subsample < 1.0:
+            k = max(1, int(round(n * hp.row_subsample)))
+            rows = np.sort(rng.permutation(n)[:k])
+        else:
+            rows = np.arange(n)
+        if hp.feature_fraction < 1.0:
+            kf = max(1, int(round(n_feat * hp.feature_fraction)))
+            feats = np.sort(rng.permutation(n_feat)[:kf])
+        else:
+            feats = np.arange(n_feat)
+        tree = _ref_grow_tree(X, g, h, rows, feats, constraints, hp)
+        trees.append(tree)
+        raw += hp.learning_rate * tree.predict(X)
+
+    return TreeEnsembleModel(
+        trees=trees,
+        learning_rate=hp.learning_rate,
+        base_score=base_score,
+        schema_hash="",
+        constraints=tuple(int(c) for c in constraints),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -425,6 +426,41 @@ class TestTypedErrors:
 
         # the unchecked model sends every pair round the root forever
         self.cluster_with_model(corpus_dir, trained_dir, tmp_path, loop_root, 60)
+
+    def test_model_with_nan_threshold(self, corpus_dir, trained_dir, tmp_path):
+        def nan_root(doc):
+            tree = doc["full"]["trees"][0]
+            assert tree["feature"][0] >= 0
+            tree["threshold"][0] = float("nan")
+
+        self.cluster_with_model(corpus_dir, trained_dir, tmp_path, nan_root)
+
+    def train_with_splits(self, corpus_dir, fast_config, tmp_path, splits):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        (data / "splits.json").write_text(json.dumps(splits))
+        self.check(["train", "--data", data, "--out", tmp_path / "o",
+                    "--config", fast_config], 3)
+
+    def test_splits_file_is_a_list(
+        self, corpus_dir, trained_dir, fast_config, tmp_path
+    ):
+        splits = json.loads((trained_dir / "splits.json").read_text())
+        self.train_with_splits(corpus_dir, fast_config, tmp_path, sorted(splits))
+
+    def test_splits_value_not_a_split(
+        self, corpus_dir, trained_dir, fast_config, tmp_path
+    ):
+        splits = json.loads((trained_dir / "splits.json").read_text())
+        splits[min(splits)] = "holdout"
+        self.train_with_splits(corpus_dir, fast_config, tmp_path, splits)
+
+    def test_splits_key_not_a_block(
+        self, corpus_dir, trained_dir, fast_config, tmp_path
+    ):
+        splits = json.loads((trained_dir / "splits.json").read_text())
+        splits["zz nosuchblock"] = "train"
+        self.train_with_splits(corpus_dir, fast_config, tmp_path, splits)
 
     def test_tune_with_unknown_hyperparameter(self, corpus_dir, tmp_path):
         cfg = tmp_path / "hp.json"

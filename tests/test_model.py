@@ -29,6 +29,7 @@ from andlib.model import (
     tune_hyperparameters,
 )
 from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
+from oracles import reference_fit_boosted_trees
 
 
 def toy_schema(n_features: int, constraints=None, nameless=()):
@@ -94,6 +95,68 @@ class TestGbtTraining:
         X, y = separable_problem()
         with pytest.raises(ConfigError):
             fit_boosted_trees(X, y, SMALL_HP, (0, 0), seed=0)
+
+
+def _split_search_problem(seed: int):
+    """Columns that reach every branch of the split search."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = 300
+    binary = rng.integers(0, 2, n).astype(float)
+    X = np.column_stack([
+        rng.normal(size=n),  # more distinct values than max_bins
+        np.where(rng.uniform(size=n) < 0.7, np.nan, rng.normal(size=n)),  # NaN-heavy
+        np.full(n, np.nan),  # all NaN
+        binary,
+        np.round(rng.normal(size=n)),  # heavily tied
+        np.where(rng.uniform(size=n) < 0.3, np.nan, rng.integers(0, 4, n)),
+        binary,  # ties the gains of column 3 exactly
+    ])
+    logits = np.nan_to_num(X[:, 0]) + binary - np.nan_to_num(X[:, 1]) + X[:, 4]
+    y = (rng.uniform(size=n) < sigmoid(logits)).astype(float)
+    return X, y
+
+
+_ORACLE_BASE = dict(
+    n_trees=6, max_leaves=16, max_depth=6, min_samples_leaf=3,
+    feature_fraction=1.0, row_subsample=1.0,
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("constraints", [(0,) * 7, (+1, -1, 0, +1, 0, -1, -1)])
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"feature_fraction": 0.6, "row_subsample": 0.7},
+    {"max_bins": 8},
+    {"l1_regularization": 0.5},
+    {"min_samples_leaf": 40},
+    {"min_split_gain": 0.05},
+], ids=["full", "subsampled", "max_bins_8", "l1", "big_leaves", "min_gain"])
+def test_presorted_fit_matches_padded_grid_oracle(seed, constraints, overrides):
+    X, y = _split_search_problem(seed)
+    hp = HyperParams(**{**_ORACLE_BASE, **overrides})
+    fast = fit_boosted_trees(X, y, hp, constraints, seed=seed)
+    ref = reference_fit_boosted_trees(X, y, hp, constraints, seed=seed)
+    assert sum(t.n_leaves for t in fast.trees) > len(fast.trees)  # trees did split
+    assert json.dumps([t.to_doc() for t in fast.trees]) == json.dumps(
+        [t.to_doc() for t in ref.trees]
+    )
+
+
+def test_gain_ties_break_by_feature_then_direction_then_cut():
+    # values 0 and 2 hold the same labels, and the base rate is 1/2, so every
+    # gradient sum is exact: {0} | {1, 2, NaN} (cut 0|1, missing right) and
+    # {0, 1, NaN} | {2} (cut 1|2, missing left) tie for the best gain
+    x = np.repeat([0.0, 1.0, 2.0, np.nan], [10, 20, 10, 4])
+    y = np.concatenate([np.ones(10), np.zeros(20), np.ones(10), [1, 1, 0, 0]])
+    X = np.column_stack([x, x])  # and feature 1 ties feature 0
+    hp = HyperParams(n_trees=1, max_leaves=2, feature_fraction=1.0, row_subsample=1.0)
+    fast = fit_boosted_trees(X, y, hp, (0, 0), seed=0)
+    ref = reference_fit_boosted_trees(X, y, hp, (0, 0), seed=0)
+    tree = fast.trees[0]
+    root = (tree.feature[0], tree.threshold[0], bool(tree.default_left[0]))
+    assert root == (0, 1.5, True)
+    assert json.dumps(tree.to_doc()) == json.dumps(ref.trees[0].to_doc())
 
 
 def _monotone_problem(seed=0, n=600):
@@ -516,6 +579,21 @@ class TestSerialization:
     def test_refuses_tree_with_missing_or_ragged_arrays(self, tmp_path, edit):
         path, doc = self._saved_doc(tmp_path)
         edit(doc["full"]["trees"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda member: member["trees"][0]["threshold"].__setitem__(0, float("nan")),
+        lambda member: member["trees"][0]["value"].__setitem__(-1, float("inf")),
+        lambda member: member.__setitem__("base_score", float("-inf")),
+        lambda member: member.__setitem__("learning_rate", float("nan")),
+    ], ids=["nan_threshold", "inf_leaf_value", "inf_base_score", "nan_learning_rate"])
+    def test_refuses_non_finite_numbers(self, tmp_path, edit):
+        # Python's json reads NaN and Infinity, so the loader must check
+        path, doc = self._saved_doc(tmp_path)
+        assert doc["full"]["trees"][0]["feature"][0] >= 0
+        edit(doc["full"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             load_ensemble(path)
