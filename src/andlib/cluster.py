@@ -95,10 +95,16 @@ def distance_matrix(
                 blocking.normalize_name(s.first, s.middle, s.last).first
                 for s in sigs
             ]
-            for i, j in zip(ii, jj):
-                if not names_compatible(firsts[i], firsts[j]):
-                    d[i, j] = d[j, i] = 1.0
-                    veto[i, j] = veto[j, i] = True
+            # names_compatible once per pair of distinct first names, then
+            # one gather; a name is compatible with itself, so the diagonal
+            # stays unvetoed
+            slot = {name: k for k, name in enumerate(dict.fromkeys(firsts))}
+            compatible = np.array(
+                [[names_compatible(x, y) for y in slot] for x in slot], dtype=bool
+            )
+            idx = np.array([slot[f] for f in firsts])
+            veto = ~compatible[np.ix_(idx, idx)]
+            d[veto] = 1.0
     return DistanceMatrix(block=block, d=d, veto=veto)
 
 

@@ -231,12 +231,13 @@ def _node_value(g_sum: float, h_sum: float, lo: float, hi: float, hp: HyperParam
     return min(max(w, lo), hi)
 
 
-def _best_split(X, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict | None:
+def _best_split(X, missing, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict | None:
     """Evaluate every candidate (feature, cut, missing-direction) at once.
 
-    ``node.order`` holds each feature's row ids already sorted (NaNs last),
-    so prefix sums over the gradients read through it give left-side
-    statistics for every cut of every feature in a single pass. Only real cuts - between
+    ``missing`` is ``np.isnan(X)``, computed once per fit. ``node.order``
+    holds each feature's row ids already sorted (NaNs last), so prefix sums
+    over the gradients read through it give left-side statistics for every
+    cut of every feature in a single pass. Only real cuts - between
     distinct present values, after ``max_bins`` thinning - are scored: they
     form one flat candidate list in (feature, cut) order, evaluated for both
     missing-value directions as a (2, K) array.
@@ -255,7 +256,7 @@ def _best_split(X, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict | No
     sorted_vals = X[order, feats[:, None]]  # (F, m)
     g_s = np.cumsum(g[order], axis=1)
     h_s = np.cumsum(h[order], axis=1)
-    miss_mask = np.isnan(X[rows][:, feats])
+    miss_mask = missing[rows][:, feats]
     n_miss = miss_mask.sum(axis=0)  # (F,)
     # exact per-column missing sums: a feature with no missing rows must tie
     # the two routing directions exactly, so the default is deterministic
@@ -349,7 +350,7 @@ def _split_rows(X, node: _Node, split) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _grow_tree(X, g, h, rows, order, feats, cvec, hp: HyperParams) -> Tree:
+def _grow_tree(X, missing, g, h, rows, order, feats, cvec, hp: HyperParams) -> Tree:
     """Grow one tree leaf-wise over ``rows``, with ``order`` presorted."""
     G, H = float(g[rows].sum()), float(h[rows].sum())
     value = _node_value(G, H, -np.inf, np.inf, hp)
@@ -361,7 +362,7 @@ def _grow_tree(X, g, h, rows, order, feats, cvec, hp: HyperParams) -> Tree:
         nonlocal counter
         if node.depth >= hp.max_depth or node.rows.size < 2 * hp.min_samples_leaf:
             return
-        split = _best_split(X, g, h, node, feats, cvec, hp)
+        split = _best_split(X, missing, g, h, node, feats, cvec, hp)
         if split is not None:
             node.split = split
             heapq.heappush(heap, (-split["gain"], counter, node))
@@ -452,6 +453,7 @@ def fit_boosted_trees(
     rng = np.random.Generator(np.random.PCG64(seed))
     n, n_feat = X.shape
     presorted = np.argsort(X.T, axis=1, kind="stable")  # NaNs sort last
+    missing = np.isnan(X)
     cvec = np.asarray(constraints, dtype=np.float64)
     p0 = min(max(pos / y.size, P_EPS), 1.0 - P_EPS)
     base_score = float(np.log(p0 / (1.0 - p0)))
@@ -473,7 +475,7 @@ def fit_boosted_trees(
         else:
             feats = np.arange(n_feat)
         order = _keep_sorted(presorted[feats], rows, n)
-        tree = _grow_tree(X, g, h, rows, order, feats, cvec, hp)
+        tree = _grow_tree(X, missing, g, h, rows, order, feats, cvec, hp)
         trees.append(tree)
         raw += hp.learning_rate * tree.predict(X)
 

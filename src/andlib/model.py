@@ -368,6 +368,12 @@ def _member_from_doc(doc: dict, schema_hash: str, n_features: int):
         )
         if model.weights.shape != (n_features,) or model.medians.shape != (n_features,):
             raise ValueError(f"linear member does not have {n_features} weights")
+        if not (
+            np.all(np.isfinite(model.weights))
+            and np.isfinite(model.bias)
+            and np.all(np.isfinite(model.medians))
+        ):
+            raise ValueError("a linear weight, bias or median is not finite")
         return model
     raise ParseError(f"unknown model kind {kind!r}")
 

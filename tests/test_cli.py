@@ -435,6 +435,14 @@ class TestTypedErrors:
 
         self.cluster_with_model(corpus_dir, trained_dir, tmp_path, nan_root)
 
+    def test_model_with_nan_linear_weight(self, corpus_dir, trained_dir, tmp_path):
+        def nan_linear(doc):
+            n = len(doc["schema"]["features"])
+            doc["full"] = {"kind": "linear", "weights": [float("nan")] + [0.0] * (n - 1),
+                           "bias": 0.0, "medians": [0.0] * n}
+
+        self.cluster_with_model(corpus_dir, trained_dir, tmp_path, nan_linear)
+
     def train_with_splits(self, corpus_dir, fast_config, tmp_path, splits):
         data = tmp_path / "data"
         shutil.copytree(corpus_dir, data)

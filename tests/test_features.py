@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from andlib import features
+from andlib.blocking import block_key, build_blocks
+from andlib.corpus import build_name_counts
 from andlib.errors import SchemaMismatchError
 from andlib.features import (
     ADVANCED_NAME_FEATURES,
     FeatureSchema,
     FeatureSpec,
+    SignatureProfile,
+    _compute_features,
     char_grams,
     default_schema,
     featurize_pair,
@@ -21,6 +28,7 @@ from andlib.features import (
     mask_nameless,
     ngram_jaccard,
     prefix_distance,
+    set_jaccard,
     word_grams,
 )
 from oracles import brute_force_lcs_length, recursive_levenshtein, textbook_jaro_winkler
@@ -273,35 +281,149 @@ class TestFeaturizePair:
                         assert -1.0 - 1e-12 <= v[k] <= 1.0 + 1e-12
 
 
+def block_pairs(dataset):
+    """Every within-block (i < j) signature pair, block by block."""
+    sigs = dataset.signatures
+    return [
+        (sigs[block.members[i]], sigs[block.members[j]])
+        for block in build_blocks(dataset)
+        for i in range(len(block.members))
+        for j in range(i + 1, len(block.members))
+    ]
+
+
+def oracle_features(pairs, dataset, counts, schema):
+    """_compute_features row by row, the reference for featurize_pairs."""
+    profiles = {}
+
+    def profile(sig):
+        if sig.signature_id not in profiles:
+            profiles[sig.signature_id] = SignatureProfile(sig, dataset)
+        return profiles[sig.signature_id]
+
+    rows = []
+    for a, b in pairs:
+        values = _compute_features(profile(a), profile(b), counts)
+        rows.append([values[name] for name in schema.names])
+    return np.array(rows, dtype=np.float64).reshape(len(pairs), len(schema))
+
+
+def assert_matches_oracle(pairs, dataset, schema):
+    counts = build_name_counts(dataset)
+    got = featurize_pairs(pairs, dataset, counts, schema)
+    want = oracle_features(pairs, dataset, counts, schema)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    swapped = [(b, a) for a, b in pairs]
+    got = featurize_pairs(swapped, dataset, counts, schema)
+    assert got.tobytes() == oracle_features(swapped, dataset, counts, schema).tobytes()
+
+
+@pytest.fixture(params=["per_pair", "column_wise"])
+def kernel(request, monkeypatch):
+    """Force every block group onto one kernel."""
+    per_pair = request.param == "per_pair"
+    monkeypatch.setattr(features, "DENSE_PAIRS_PER_SIG", math.inf if per_pair else 0.0)
+    return request.param
+
+
+def with_sparse_fields(dataset):
+    """A copy of ``dataset`` where, in its largest block, one signature has
+    no affiliation and its paper no venue, journal, title or references;
+    one paper cites only papers that do not exist; and two signatures have
+    affiliations and emails that fold to empty strings."""
+    block = max(build_blocks(dataset), key=len)
+    assert len(block) >= 4
+    papers = dict(dataset.papers)
+    sigs = dict(dataset.signatures)
+    m0, m1, m2, m3 = (sigs[m] for m in block.members[:4])
+    papers[m0.paper_id] = dataclasses.replace(
+        papers[m0.paper_id], title="", venue=None, journal=None,
+        reference_ids=frozenset(),
+    )
+    sigs[m0.signature_id] = dataclasses.replace(m0, affiliations=())
+    papers[m1.paper_id] = dataclasses.replace(
+        papers[m1.paper_id], reference_ids=frozenset({"gone-1", "gone-2"})
+    )
+    sigs[m2.signature_id] = dataclasses.replace(m2, affiliations=("--",), email="nobody")
+    sigs[m3.signature_id] = dataclasses.replace(m3, affiliations=("!",), email="@x.org")
+    return dataclasses.replace(dataset, papers=papers, signatures=sigs)
+
+
 class TestFeaturizePairsOracle:
     def test_every_block_pair_matches_compute_features_both_orders(self, small_corpus):
-        from andlib.blocking import build_blocks
-        from andlib.corpus import build_name_counts
-        from andlib.features import SignatureProfile, _compute_features
-
         schema = default_schema()
         counts = build_name_counts(small_corpus)
-        sigs = small_corpus.signatures
-        pairs = [
-            (sigs[block.members[i]], sigs[block.members[j]])
-            for block in build_blocks(small_corpus)
-            for i in range(len(block.members))
-            for j in range(i + 1, len(block.members))
-        ]
+        pairs = block_pairs(small_corpus)
         assert len(pairs) > 100
-
-        def oracle(a, b):
-            pa = SignatureProfile(a, small_corpus)
-            pb = SignatureProfile(b, small_corpus)
-            values = _compute_features(pa, pb, counts)
-            return [values[name] for name in schema.names]
-
-        expected = np.array([oracle(a, b) for a, b in pairs])
+        expected = oracle_features(pairs, small_corpus, counts, schema)
         swapped = [(b, a) for a, b in pairs]
         forward = featurize_pairs(pairs, small_corpus, counts, schema)
         backward = featurize_pairs(swapped, small_corpus, counts, schema)
         assert np.array_equal(forward, expected, equal_nan=True)
         assert np.array_equal(backward, expected, equal_nan=True)
+
+    def test_each_kernel_matches_compute_features_bytes(self, small_corpus, kernel):
+        assert_matches_oracle(block_pairs(small_corpus), small_corpus, default_schema())
+
+    def test_gram_products_in_many_vocabulary_chunks(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(features, "DENSE_PAIRS_PER_SIG", 0.0)
+        monkeypatch.setattr(features, "GRAM_CHUNK_BYTES", 1)  # one column a chunk
+        assert_matches_oracle(block_pairs(small_corpus), small_corpus, default_schema())
+
+    def test_shuffled_pairs_across_blocks(self, small_corpus, kernel):
+        # the shape sample_pairs passes, plus one pair across two blocks
+        pairs = block_pairs(small_corpus)
+        order = np.random.Generator(np.random.PCG64(3)).permutation(len(pairs))
+        pairs = [pairs[i] for i in order]
+        a = pairs[0][0]
+        b = next(s for _, s in pairs if block_key(s) != block_key(a))
+        pairs.insert(len(pairs) // 2, (a, b))
+        assert_matches_oracle(pairs, small_corpus, default_schema())
+
+    @pytest.mark.parametrize(
+        "dropped",
+        [ADVANCED_NAME_FEATURES, default_schema().groups()["references"]],
+        ids=["advanced_name", "references_group"],
+    )
+    def test_dropped_feature_schemas(self, small_corpus, kernel, dropped):
+        schema = default_schema().drop(dropped)
+        assert_matches_oracle(block_pairs(small_corpus), small_corpus, schema)
+
+    def test_missing_fields_and_dangling_references(self, small_corpus, kernel):
+        dataset = with_sparse_fields(small_corpus)
+        assert_matches_oracle(block_pairs(dataset), dataset, default_schema())
+
+    def test_empty_pair_list(self, pair_fixture, kernel):
+        dataset, counts, schema = pair_fixture
+        X = featurize_pairs([], dataset, counts, schema)
+        assert X.shape == (0, len(schema)) and X.dtype == np.float64
+
+    def test_unknown_schema_name_is_refused(self, pair_fixture, kernel):
+        dataset, counts, schema = pair_fixture
+        bad = FeatureSchema(schema.features + (FeatureSpec("no_such_feature", "g", 0),))
+        s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
+        with pytest.raises(SchemaMismatchError):
+            featurize_pairs([(s1, s2), (s2, s1)], dataset, counts, bad)
+
+    @given(
+        st.lists(
+            st.frozensets(st.text(alphabet="abc", max_size=2), max_size=5),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([1, 64, features.GRAM_CHUNK_BYTES]),
+    )
+    @settings(max_examples=100)
+    def test_gram_jaccard_equals_set_jaccard_bit_for_bit(self, sets, chunk_bytes):
+        family = features._GramFamily()
+        for values in sets:
+            family.add(values)
+        a, b = (x.ravel() for x in np.indices((len(sets), len(sets))))
+        with mock.patch.object(features, "GRAM_CHUNK_BYTES", chunk_bytes):
+            got = family.jaccard(a, b)
+        want = np.array([set_jaccard(sets[i], sets[j]) for i, j in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMaskNameless:

@@ -606,6 +606,19 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_ensemble(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda member: member["weights"].__setitem__(0, float("nan")),
+        lambda member: member.__setitem__("bias", float("inf")),
+        lambda member: member["medians"].__setitem__(0, float("-inf")),
+    ], ids=["nan_weight", "inf_bias", "inf_median"])
+    def test_refuses_non_finite_linear_member(self, tmp_path, edit):
+        # a NaN weight would make every probability NaN
+        path, doc = self._saved_doc(tmp_path, linear=True)
+        edit(doc["full"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_ensemble(path)
+
     def test_refuses_tampered_hash(self, tmp_path):
         X, y = separable_problem(n=60)
         schema = toy_schema(1)
