@@ -9,7 +9,7 @@ or bad configuration, 3 data integrity, 4 model/schema mismatch.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import os
 import sys
@@ -44,22 +44,34 @@ EXIT_DATA = 3
 EXIT_SCHEMA = 4
 
 
+@contextlib.contextmanager
+def _writing():
+    """Report a failure to create or write an output file as a usage error
+    (an ``--out`` that names a file, or a directory that is not writable)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _write_json(doc, out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _writing():
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return path
 
 
 def _write_tsv(rows: list[tuple], header: tuple[str, ...], out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+    with _writing():
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\t".join(header) + "\n")
+            for row in rows:
+                fh.write("\t".join(str(v) for v in row) + "\n")
     return path
 
 
@@ -131,7 +143,7 @@ def _run_config(args) -> RunConfig:
         overrides["use_monotone"] = False
     if getattr(args, "drop", None):
         overrides["drop_features"] = tuple(cfg.drop_features) + tuple(args.drop)
-    return dataclasses.replace(cfg, **overrides)
+    return RunConfig.from_doc({**cfg.to_doc(), **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +164,11 @@ def cmd_synth(args) -> int:
             doc[key] = value
     cfg = GeneratorConfig.from_doc(doc)
     dataset = generate_synthetic_corpus(args.seed, cfg)
-    save_dataset(dataset, args.out)
-    save_name_counts(build_name_counts(dataset), os.path.join(args.out, "name_counts.json"))
+    with _writing():
+        save_dataset(dataset, args.out)
+        save_name_counts(
+            build_name_counts(dataset), os.path.join(args.out, "name_counts.json")
+        )
     _write_json(
         {"seed": args.seed, "generator": cfg.to_doc()}, args.out, "resolved_config.json"
     )
@@ -170,19 +185,20 @@ def cmd_train(args) -> int:
     dataset = _load_data(args)
     result = pipeline.train_pipeline(dataset, cfg, counts=_load_counts(args, dataset))
     model_path = os.path.join(args.out, "model.json")
-    os.makedirs(args.out, exist_ok=True)
-    model.save_ensemble(
-        model_path,
-        result.classifier,
-        result.hyperparams,
-        cfg.seed,
-        cluster_params={
-            "linkage": result.cluster_params.linkage,
-            "eps": result.cluster_params.eps,
-            "method": result.cluster_params.method,
-            "dbscan_min_samples": result.cluster_params.dbscan_min_samples,
-        },
-    )
+    with _writing():
+        os.makedirs(args.out, exist_ok=True)
+        model.save_ensemble(
+            model_path,
+            result.classifier,
+            result.hyperparams,
+            cfg.seed,
+            cluster_params={
+                "linkage": result.cluster_params.linkage,
+                "eps": result.cluster_params.eps,
+                "method": result.cluster_params.method,
+                "dbscan_min_samples": result.cluster_params.dbscan_min_samples,
+            },
+        )
     _write_json(result.dataset.splits, args.out, "splits.json")
     _write_json(result.report, args.out, "report.json")
     _write_json(cfg.to_doc(), args.out, "resolved_config.json")
@@ -243,9 +259,10 @@ def cmd_cluster(args) -> int:
         rules=rules,
         jobs=args.jobs or 1,
     )
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "clusters.json")
-    save_partition(pred, out_path)
+    with _writing():
+        os.makedirs(args.out, exist_ok=True)
+        save_partition(pred, out_path)
     _write_json(
         {
             "model": args.model,

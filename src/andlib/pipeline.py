@@ -7,6 +7,7 @@ Every entry point is deterministic given (dataset, config, seed).
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -67,15 +68,88 @@ class RunConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("a run config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            check, meaning = _CONFIG_RULES[key]
+            if not check(value):
+                raise ConfigError(f"config key {key!r} must be {meaning}, got {value!r}")
         clean = dict(doc)
         for key in ("fractions", "drop_features"):
             if key in clean and clean[key] is not None:
                 clean[key] = tuple(clean[key])
         return cls(**clean)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite float, or an int a float can hold."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _at_least(low: int):
+    return lambda value: _is_int(value) and value >= low
+
+
+def _unit(value) -> bool:
+    return _is_number(value) and 0.0 <= value <= 1.0
+
+
+def _one_of(*options: str):
+    return lambda value: isinstance(value, str) and value in options
+
+
+def _fractions(value) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 3
+        and all(_unit(f) for f in value)
+        and abs(sum(value) - 1.0) <= 1e-9
+    )
+
+
+def _flag(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _hyperparams(value) -> bool:
+    """An object of hyperparameters; ``HyperParams.from_doc`` names a bad one."""
+    return isinstance(value, dict) and HyperParams.from_doc(value) is not None
+
+
+#: what each RunConfig value must be: (check, meaning for the error message)
+_CONFIG_RULES = {
+    "seed": (_at_least(0), "an integer >= 0"),
+    "fractions": (_fractions, "three numbers in [0, 1] that sum to 1"),
+    "train_cap": (_at_least(1), "an integer >= 1"),
+    "val_cap": (_at_least(1), "an integer >= 1"),
+    "tune_budget": (_at_least(0), "an integer >= 0"),
+    "eps_budget": (_at_least(1), "an integer >= 1"),
+    "linkage": (_one_of(*cluster.LINKAGES), f"one of {', '.join(cluster.LINKAGES)}"),
+    "method": (_one_of("hac", "dbscan"), "hac or dbscan"),
+    "dbscan_min_samples": (_at_least(1), "an integer >= 1"),
+    "eps": (lambda v: v is None or _unit(v), "null or a number in [0, 1]"),
+    "hyperparams": (_hyperparams, "an object of hyperparameters"),
+    "knockout": (_flag, "true or false"),
+    "knockout_probability": (_unit, "a number in [0, 1]"),
+    "drop_features": (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+        "a list of feature or group names",
+    ),
+    "use_nameless": (_flag, "true or false"),
+    "use_monotone": (_flag, "true or false"),
+    "classifier": (_one_of("gbt", "linear"), "gbt or linear"),
+    "linear_regularization": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "name_rules": (_flag, "true or false"),
+    "jobs": (_at_least(1), "an integer >= 1"),
+}
 
 
 def resolve_schema(cfg: RunConfig) -> FeatureSchema:

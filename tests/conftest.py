@@ -1,6 +1,15 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
+
+# CI draws the same examples on every run, so a red run reproduces; set
+# HYPOTHESIS_PROFILE=ci to get them locally.
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 from andlib.corpus import Dataset, Paper, Partition, Signature, build_name_counts
 from andlib.features import default_schema

@@ -2,9 +2,9 @@
 
 Everything here is written straight from the definitions, favoring clarity
 over speed, and deliberately shares no code with the library paths it
-checks. The one exception is the GBT split-search reference, which is the
-library's earlier implementation and reuses its tree container and loss
-helpers.
+checks. The exceptions are the GBT split-search reference and the per-tree
+prediction loop, which are the library's earlier implementations and reuse
+its tree container and loss helpers.
 """
 
 from __future__ import annotations
@@ -280,6 +280,33 @@ def naive_dbscan(d: np.ndarray, eps: float, min_samples: int) -> set[frozenset[i
 # ---------------------------------------------------------------------------
 # tree prediction
 # ---------------------------------------------------------------------------
+
+
+def reference_tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The per-tree prediction loop ``Tree.predict`` ran before the forest
+    kernel: each level gathers the active rows and routes them."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        active = np.nonzero(feat >= 0)[0]
+        if active.size == 0:
+            break
+        cur = node[active]
+        v = X[active, feat[active]]
+        go_left = (v <= tree.threshold[cur]) | (
+            np.isnan(v) & tree.default_left[cur]
+        )
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
+def reference_raw_score(model: TreeEnsembleModel, X: np.ndarray) -> np.ndarray:
+    """``TreeEnsembleModel.raw_score`` as a loop over the trees."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    raw = np.full(X.shape[0], model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        raw += model.learning_rate * reference_tree_predict(tree, X)
+    return raw
 
 
 def trace_tree(doc: dict, x: np.ndarray) -> float:
@@ -569,7 +596,7 @@ def reference_fit_boosted_trees(
             feats = np.arange(n_feat)
         tree = _ref_grow_tree(X, g, h, rows, feats, constraints, hp)
         trees.append(tree)
-        raw += hp.learning_rate * tree.predict(X)
+        raw += hp.learning_rate * reference_tree_predict(tree, X)
 
     return TreeEnsembleModel(
         trees=trees,

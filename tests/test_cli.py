@@ -347,11 +347,13 @@ class TestTypedErrors:
     """Bad input ends with a one-line error and the documented exit code,
     never a traceback."""
 
-    def check(self, argv, code, timeout=120):
+    def check(self, argv, code, timeout=120, message=None):
         proc = run_process(argv, timeout)
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.stderr.startswith("error: "), proc.stderr
         assert proc.returncode == code
+        if message is not None:
+            assert message in proc.stderr, proc.stderr
 
     def test_missing_config_file(self, corpus_dir, tmp_path):
         self.check(["train", "--data", corpus_dir, "--out", tmp_path / "o",
@@ -362,6 +364,29 @@ class TestTypedErrors:
         cfg.write_text(json.dumps({"test_cap": 10}))
         self.check(["train", "--data", corpus_dir, "--out", tmp_path / "o",
                     "--config", cfg], 2)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"eps": "x"}, "'eps'"),
+        ({"eps_budget": "3"}, "'eps_budget'"),
+        ({"seed": "a"}, "'seed'"),
+        ({"fractions": 5}, "'fractions'"),
+        ({"fractions": [0.5, 0.5]}, "'fractions'"),
+        ({"jobs": 0}, "'jobs'"),
+        ({"train_cap": -5}, "'train_cap'"),
+        ([1, 2], "JSON object"),
+    ], ids=["eps_string", "eps_budget_string", "seed_string", "fractions_number",
+            "fractions_two", "jobs_zero", "train_cap_negative", "top_level_list"])
+    def test_bad_config_value(self, corpus_dir, tmp_path, doc, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        self.check(["train", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--config", cfg], 2, message=message)
+
+    def test_out_names_an_existing_file(self, corpus_dir, trained_dir, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self.check(["cluster", "--data", corpus_dir, "--out", out,
+                    "--model", trained_dir / "model.json"], 2, message="cannot write")
 
     def test_missing_model_file(self, corpus_dir, tmp_path):
         self.check(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",

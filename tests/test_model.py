@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from andlib import gbt
 from andlib.blocking import build_blocks
 from andlib.corpus import (
     Dataset,
@@ -16,7 +18,7 @@ from andlib.corpus import (
 )
 from andlib.errors import ConfigError, ParseError, SchemaMismatchError
 from andlib.features import FeatureSchema, FeatureSpec, default_schema, mask_nameless
-from andlib.gbt import HyperParams, TreeEnsembleModel, fit_boosted_trees, sigmoid
+from andlib.gbt import HyperParams, Tree, TreeEnsembleModel, fit_boosted_trees, sigmoid
 from andlib.model import (
     EnsembleClassifier,
     LinearModel,
@@ -29,7 +31,11 @@ from andlib.model import (
     tune_hyperparameters,
 )
 from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
-from oracles import reference_fit_boosted_trees
+from oracles import (
+    reference_fit_boosted_trees,
+    reference_raw_score,
+    reference_tree_predict,
+)
 
 
 def toy_schema(n_features: int, constraints=None, nameless=()):
@@ -236,9 +242,8 @@ class TestMissingValues:
         probe = rng.uniform(0, 1, size=(1000, 5))
         probe[rng.uniform(0, 1, probe.shape) < 0.3] = np.nan
         fast = model.raw_score(probe)
-        for i in range(len(probe)):
-            naive = trace_ensemble_raw(doc, probe[i])
-            assert abs(fast[i] - naive) <= 1e-12
+        naive = np.array([trace_ensemble_raw(doc, x) for x in probe])
+        assert fast.tobytes() == naive.tobytes()
 
     def test_learned_default_directions_help(self):
         # informative missingness: y = 1 whenever the feature is missing
@@ -251,6 +256,141 @@ class TestMissingValues:
         p_missing = model.predict_proba(np.array([[np.nan]]))
         p_present = model.predict_proba(np.array([[0.5]]))
         assert p_missing > 0.9 > 0.1 > p_present
+
+
+def _random_tree(rng, n_features, depth, grid, p_split=0.7, default_left=None) -> Tree:
+    """A pre-order tree whose thresholds come from ``grid``; the leftmost
+    path always splits down to ``depth``."""
+    feature, threshold, left, right, dleft, value = [], [], [], [], [], []
+
+    def emit(level: int, spine: bool) -> int:
+        idx = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        dleft.append(True)
+        value.append(float(rng.choice([-0.0, 0.0, rng.normal()])))
+        if level < depth and (spine or rng.uniform() < p_split):
+            feature[idx] = int(rng.integers(n_features))
+            threshold[idx] = float(rng.choice(grid))
+            dleft[idx] = bool(rng.integers(2)) if default_left is None else default_left
+            left[idx] = emit(level + 1, spine)
+            right[idx] = emit(level + 1, False)
+        return idx
+
+    emit(0, True)
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        default_left=np.asarray(dleft, dtype=bool),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def _random_forest(seed, n_trees=12, n_features=5, depth=6, **tree_kw):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grid = np.round(rng.normal(size=6), 3)
+    trees = [_random_tree(rng, n_features, depth, grid, **tree_kw) for _ in range(n_trees)]
+    model = TreeEnsembleModel(
+        trees=trees, learning_rate=0.1 + rng.uniform(), base_score=rng.normal(),
+        schema_hash="", constraints=(0,) * n_features,
+    )
+    return model, grid
+
+
+def _probe(seed, n_rows, n_features, grid, nan=0.2, inf=0.0):
+    """Rows of values at a threshold, one ulp either side, or elsewhere."""
+    rng = np.random.Generator(np.random.PCG64(seed + 1000))
+    at = rng.choice(grid, size=(n_rows, n_features))
+    near = np.stack([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+                     rng.normal(size=at.shape)])
+    X = np.take_along_axis(near, rng.integers(0, 4, (1,) + at.shape), axis=0)[0]
+    u = rng.uniform(size=X.shape)
+    X[u < nan] = np.nan
+    X[(u >= nan) & (u < nan + inf)] = rng.choice([-np.inf, np.inf])
+    return X
+
+
+def _assert_kernel_matches_oracle(model, X):
+    assert model.raw_score(X).tobytes() == reference_raw_score(model, X).tobytes()
+    for tree in model.trees:
+        assert tree.predict(X).tobytes() == reference_tree_predict(tree, X).tobytes()
+
+
+class TestForestKernel:
+    """The forest kernel against the per-tree loop of tests/oracles.py,
+    byte for byte."""
+
+    @pytest.mark.parametrize("default_left", [True, False, None])
+    def test_nan_rows_under_both_default_directions(self, default_left):
+        model, grid = _random_forest(1, default_left=default_left)
+        X = _probe(1, 300, 5, grid, nan=0.4)
+        X[::7] = np.nan  # rows that are missing everywhere
+        _assert_kernel_matches_oracle(model, X)
+
+    def test_values_at_thresholds_and_one_ulp_either_side(self):
+        model, grid = _random_forest(2)
+        X = _probe(2, 400, 5, grid, nan=0.0)
+        assert np.isin(X, grid).any()
+        _assert_kernel_matches_oracle(model, X)
+
+    def test_infinite_inputs(self):
+        model, grid = _random_forest(3)
+        X = _probe(3, 300, 5, grid, nan=0.1, inf=0.3)
+        X[0], X[1] = np.inf, -np.inf
+        _assert_kernel_matches_oracle(model, X)
+
+    def test_single_leaf_trees(self):
+        model, grid = _random_forest(4, depth=0)
+        assert all(len(t.feature) == 1 for t in model.trees)
+        _assert_kernel_matches_oracle(model, _probe(4, 50, 5, grid))
+
+    def test_zero_trees_give_the_base_score(self):
+        model, grid = _random_forest(5, n_trees=0)
+        X = _probe(5, 30, 5, grid)
+        assert model.raw_score(X).tobytes() == np.full(30, model.base_score).tobytes()
+
+    def test_depth_12_trees(self):
+        model, grid = _random_forest(6, n_trees=3, depth=12, p_split=1.0)
+        assert gbt._pack_forest(model.trees)[-1] == 12
+        _assert_kernel_matches_oracle(model, _probe(6, 500, 5, grid))
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_zero_and_one_row(self, n_rows):
+        model, grid = _random_forest(7)
+        X = _probe(7, n_rows, 5, grid)
+        assert model.raw_score(X).shape == (n_rows,)
+        _assert_kernel_matches_oracle(model, X)
+
+    @pytest.mark.parametrize("cells, rows", [(1, 1), (7 * 5, 13), (7 * 64, 100)])
+    def test_chunk_sizes(self, cells, rows, monkeypatch):
+        # 7 trees: 5 rows a step in copies of 10, or 64 a step in copies of
+        # 64; neither divides the 203 rows
+        model, grid = _random_forest(8, n_trees=7)
+        X = _probe(8, 203, 5, grid, nan=0.3, inf=0.1)
+        monkeypatch.setattr(gbt, "FOREST_STEP_CELLS", cells)
+        monkeypatch.setattr(gbt, "FOREST_COPY_ROWS", rows)
+        _assert_kernel_matches_oracle(model, X)
+
+    def test_fitted_nan_heavy_ensemble(self):
+        X, y = _split_search_problem(0)
+        model = fit_boosted_trees(
+            X, y, HyperParams(n_trees=20, max_depth=12, max_leaves=64), (0,) * 7, seed=0
+        )
+        probe = np.concatenate([X, X + np.nextafter(0.0, 1.0), np.flip(X, axis=0)])
+        _assert_kernel_matches_oracle(model, probe)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 8),
+           st.integers(0, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_random_forests(self, seed, n_rows, n_features, depth):
+        model, grid = _random_forest(seed, n_trees=seed % 9, n_features=n_features,
+                                     depth=depth)
+        _assert_kernel_matches_oracle(model, _probe(seed, n_rows, n_features, grid,
+                                                    nan=0.25, inf=0.05))
 
 
 class TestPrediction:

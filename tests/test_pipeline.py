@@ -26,6 +26,24 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_doc({"warp": 9})
 
+    def test_defaults_pass_the_value_checks(self):
+        assert RunConfig.from_doc(RunConfig().to_doc()) == RunConfig()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"knockout": 1}, "'knockout'"),
+        ({"eps": 1.5}, "'eps'"),
+        ({"eps": float("nan")}, "'eps'"),
+        ({"linkage": "median"}, "'linkage'"),
+        ({"drop_features": "embedding"}, "'drop_features'"),
+        ({"seed": True}, "'seed'"),
+        ({"hyperparams": {"n_trees": 2.5}}, "'n_trees'"),
+        ({"hyperparams": {"row_subsample": 0}}, "'row_subsample'"),
+        ({"hyperparams": {"learning_rate": -0.1}}, "'learning_rate'"),
+    ])
+    def test_bad_value_names_its_key(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_doc(doc)
+
 
 class TestResolveSchema:
     def test_default(self):
