@@ -75,15 +75,17 @@ def normalize_name(
     )
 
 
+def _key(name: NormalizedName) -> str:
+    return f"{name.first_initial or EMPTY_INITIAL} {name.last}"
+
+
 def block_key_from_parts(first: str | None, last: str) -> str:
     """Blocking key for a (first, last) name: first initial + space + last."""
-    name = normalize_name(first, None, last)
-    initial = name.first_initial or EMPTY_INITIAL
-    return f"{initial} {name.last}"
+    return _key(normalize_name(first, None, last))
 
 
 def block_key(sig: "Signature") -> str:
-    return block_key_from_parts(sig.first, sig.last)
+    return _key(sig.name)
 
 
 def build_blocks(dataset: "Dataset") -> list[Block]:

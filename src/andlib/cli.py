@@ -239,6 +239,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     dataset = _load_data(args)
     counts = _load_counts(args, dataset)
     ens, meta = model.load_ensemble(args.model)
@@ -257,7 +259,7 @@ def cmd_cluster(args) -> int:
         counts,
         ens.schema,
         rules=rules,
-        jobs=args.jobs or 1,
+        jobs=args.jobs,
     )
     out_path = os.path.join(args.out, "clusters.json")
     with _writing():
@@ -360,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Author name disambiguation: train, cluster, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("ANDLIB_JOBS", "1"))
+    # argparse runs a string default through type=int: a bad value exits 2
+    default_jobs = os.environ.get("ANDLIB_JOBS", "1")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)

@@ -90,11 +90,7 @@ def distance_matrix(
         ii, jj = np.triu_indices(n, k=1)
         d[ii, jj] = d[jj, ii] = 1.0 - p
         if rules.enabled:
-            sigs = [dataset.signatures[m] for m in block.members]
-            firsts = [
-                blocking.normalize_name(s.first, s.middle, s.last).first
-                for s in sigs
-            ]
+            firsts = [dataset.signatures[m].name.first for m in block.members]
             # names_compatible once per pair of distinct first names, then
             # one gather; a name is compatible with itself, so the diagonal
             # stays unvetoed
@@ -160,9 +156,8 @@ def _block_features(
 ) -> np.ndarray:
     """Features of one block's ``triu_indices(n, k=1)`` pairs."""
     sigs = [dataset.signatures[m] for m in block.members]
-    ii, jj = np.triu_indices(len(sigs), k=1)
-    pairs = [(sigs[i], sigs[j]) for i, j in zip(ii, jj)]
-    return featurize_pairs(pairs, dataset, counts, schema)
+    a, b = np.triu_indices(len(sigs), k=1)
+    return featurize_pairs(sigs, a, b, dataset, counts, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +236,6 @@ def _partition_from_merges(
 
 def hac_cluster(D: DistanceMatrix, linkage: str = "average", eps: float = 0.5) -> Partition:
     """Cluster one block by agglomerative merging up to the eps threshold."""
-    if len(D.block.members) == 1:
-        return Partition({D.block.members[0]: "0"})
     merges = hac_merge_order(D, linkage, eps)
     return _partition_from_merges(D.block.members, merges)
 
@@ -367,11 +360,12 @@ def tune_eps(
 # whole-corpus clustering
 # ---------------------------------------------------------------------------
 
+# The arguments of _cluster_group, set in pool worker processes only.
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(classifier, dataset, counts, schema, rules, params):
-    _WORKER_STATE["args"] = (classifier, dataset, counts, schema, rules, params)
+def _init_worker(*args) -> None:
+    _WORKER_STATE["args"] = args
 
 
 def _cluster_one(D: DistanceMatrix, params: ClusterParams) -> Partition:
@@ -379,8 +373,9 @@ def _cluster_one(D: DistanceMatrix, params: ClusterParams) -> Partition:
     return cluster_block(D, params)
 
 
-def _cluster_group(group: list[Block]) -> list[Partition]:
-    classifier, dataset, counts, schema, rules, params = _WORKER_STATE["args"]
+def _cluster_group(group: list[Block], state: tuple | None = None) -> list[Partition]:
+    """Score and cluster one group; ``state`` defaults to a pool worker's."""
+    classifier, dataset, counts, schema, rules, params = state or _WORKER_STATE["args"]
     matrices = distance_matrices(group, classifier, dataset, counts, schema, rules)
     return [_cluster_one(D, params) for D in matrices]
 
@@ -404,19 +399,15 @@ def cluster_corpus(
     if blocks is None:
         blocks = blocking.build_blocks(dataset)
     groups = _score_groups(blocks)
+    state = (classifier, dataset, counts, schema, rules, params)
     if jobs > 1 and len(groups) > 1:
         import multiprocessing
 
         ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=jobs,
-            initializer=_init_worker,
-            initargs=(classifier, dataset, counts, schema, rules, params),
-        ) as pool:
+        with ctx.Pool(processes=jobs, initializer=_init_worker, initargs=state) as pool:
             per_group = pool.map(_cluster_group, groups)
     else:
-        _init_worker(classifier, dataset, counts, schema, rules, params)
-        per_group = [_cluster_group(g) for g in groups]
+        per_group = [_cluster_group(g, state) for g in groups]
     parts = [part for group_parts in per_group for part in group_parts]
 
     assignment: dict[str, str] = {}

@@ -72,6 +72,13 @@ class Signature:
     suffix: str | None = None
     affiliations: tuple[str, ...] = ()
     email: str | None = None
+    # normalized once, here: a last name that folds to nothing raises
+    # IntegrityError
+    name: blocking.NormalizedName = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        name = blocking.normalize_name(self.first, self.middle, self.last)
+        object.__setattr__(self, "name", name)
 
 
 @dataclass(frozen=True)
@@ -165,18 +172,29 @@ def _opt_str(value) -> str | None:
     return value or None
 
 
+def _str_list(raw: dict, key: str, owner: str) -> list[str]:
+    """``raw[key]`` as an array of strings; absent or null means empty."""
+    value = [] if raw.get(key) is None else raw[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{owner}: {key} must be an array of strings, got {value!r}")
+    return value
+
+
 def _parse_paper(paper_id: str, raw: dict) -> Paper:
     if not isinstance(raw, dict):
         raise ParseError(f"paper {paper_id!r}: expected object")
     authors = raw.get("authors", [])
+    if not isinstance(authors, list):
+        raise ParseError(f"paper {paper_id!r}: authors must be an array")
     by_pos: dict[int, str] = {}
     for entry in authors:
-        try:
-            pos, name = entry["position"], entry["name"]
-        except (KeyError, TypeError) as exc:
+        entry = entry if isinstance(entry, dict) else {}
+        pos, name = entry.get("position"), entry.get("name")
+        if type(pos) is not int or not isinstance(name, str):  # bool is an int
             raise ParseError(
-                f"paper {paper_id!r}: author entry needs position and name"
-            ) from exc
+                f"paper {paper_id!r}: author entry needs an integer position "
+                "and a string name"
+            )
         if pos in by_pos:
             raise IntegrityError(f"paper {paper_id!r}: duplicate author position {pos}")
         by_pos[pos] = name
@@ -184,7 +202,7 @@ def _parse_paper(paper_id: str, raw: dict) -> Paper:
         raise IntegrityError(f"paper {paper_id!r}: author list is empty")
     if sorted(by_pos) != list(range(1, len(by_pos) + 1)):
         raise IntegrityError(f"paper {paper_id!r}: author positions not 1..n")
-    references = frozenset(raw.get("references", ()))
+    references = frozenset(_str_list(raw, "references", f"paper {paper_id!r}"))
     if paper_id in references:
         raise IntegrityError(f"paper {paper_id!r} lists itself as a reference")
     year = raw.get("year")
@@ -192,7 +210,7 @@ def _parse_paper(paper_id: str, raw: dict) -> Paper:
         raise ParseError(f"paper {paper_id!r}: year must be an integer")
     return Paper(
         paper_id=paper_id,
-        title=raw.get("title", "") or "",
+        title=_opt_str(raw.get("title")) or "",
         abstract=_opt_str(raw.get("abstract")),
         venue=_opt_str(raw.get("venue")),
         journal=_opt_str(raw.get("journal")),
@@ -211,8 +229,11 @@ def _parse_signature(raw: dict) -> Signature:
         last = raw["last"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed signature record: {raw!r}") from exc
-    if not isinstance(position, int) or position < 1:
+    if not all(isinstance(v, str) for v in (sig_id, paper_id, last)):
+        raise ParseError(f"signature ids and last name must be strings: {raw!r}")
+    if type(position) is not int or position < 1:  # bool is an int subclass
         raise IntegrityError(f"signature {sig_id!r}: bad author_position {position!r}")
+    affiliations = _str_list(raw, "affiliations", f"signature {sig_id!r}")
     return Signature(
         signature_id=sig_id,
         paper_id=paper_id,
@@ -221,7 +242,7 @@ def _parse_signature(raw: dict) -> Signature:
         middle=_opt_str(raw.get("middle")),
         last=last,
         suffix=_opt_str(raw.get("suffix")),
-        affiliations=tuple(a for a in raw.get("affiliations", ()) if a),
+        affiliations=tuple(a for a in affiliations if a),
         email=_opt_str(raw.get("email")),
     )
 
@@ -322,8 +343,6 @@ def validate_dataset(dataset: Dataset) -> None:
                 f"signature {sig.signature_id!r}: position {sig.author_position} "
                 f"exceeds {len(paper.author_names)} authors"
             )
-        # raises IntegrityError when the last name folds away entirely
-        blocking.normalize_name(sig.first, sig.middle, sig.last)
     dims = {len(p.embedding) for p in dataset.papers.values() if p.embedding}
     if len(dims) > 1:
         raise DimensionError(f"inconsistent embedding lengths: {sorted(dims)}")
@@ -431,8 +450,7 @@ def build_name_counts(dataset: Dataset) -> NameCountsTable:
     """Count normalized name keys over every signature in the corpus."""
     table = NameCountsTable()
     for sig_id in sorted(dataset.signatures):
-        sig = dataset.signatures[sig_id]
-        name = blocking.normalize_name(sig.first, sig.middle, sig.last)
+        name = dataset.signatures[sig_id].name
         table.last[name.last] = table.last.get(name.last, 0) + 1
         if name.first:
             table.first[name.first] = table.first.get(name.first, 0) + 1

@@ -14,10 +14,11 @@ variant of the vector blanks every feature derived from the focal author's
 own name surface form (co-author names are kept).
 
 featurize_pairs is the one path from signature pairs to a feature matrix.
-It groups the pairs by block and builds each group's signature profiles for
-that group only; the module keeps no state between calls. A dense group is
-featurized column-wise, every Jaccard family as one Gram product of 0/1
-gram indicators; a sparse one pair by pair. Both give the same bytes.
+It takes pairs as two index arrays into a signature list, treats each call
+as one group, and builds that group's signature profiles for the call only;
+the module keeps no state between calls. A dense group is featurized
+column-wise, every Jaccard family as one Gram product of 0/1 gram
+indicators; a sparse one pair by pair. Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -334,7 +335,6 @@ class SignatureProfile:
         "sig_id",
         "paper_id",
         "name",
-        "full_name",
         "coauthor_keys",
         "coauthor_names",
         "coauthor_grams",
@@ -366,9 +366,7 @@ class SignatureProfile:
             )
         self.sig_id = sig.signature_id
         self.paper_id = sig.paper_id
-        name = blocking.normalize_name(sig.first, sig.middle, sig.last)
-        self.name = name
-        self.full_name = name.full
+        self.name = name = sig.name
 
         coauthors = [
             raw
@@ -574,7 +572,7 @@ def _compute_features(
     counts: NameCountsTable,
 ) -> dict[str, float]:
     """Every feature of one pair, computed pair by pair: the kernel of
-    sparse block groups and the reference the column-wise kernel matches."""
+    sparse groups and the reference the column-wise kernel matches."""
     out = dict(
         zip(
             _NAME_FEATURES,
@@ -680,63 +678,52 @@ def featurize_pair(
     schema: FeatureSchema,
 ) -> np.ndarray:
     """Compute the feature vector for one signature pair, in schema order."""
-    return featurize_pairs([(s1, s2)], dataset, counts, schema)[0]
+    return featurize_pairs([s1, s2], [0], [1], dataset, counts, schema)[0]
 
 
 def featurize_pairs(
-    pairs: Sequence[tuple[Signature, Signature]],
+    sigs: Sequence[Signature],
+    a: Sequence[int] | np.ndarray,
+    b: Sequence[int] | np.ndarray,
     dataset: Dataset,
     counts: NameCountsTable,
     schema: FeatureSchema,
 ) -> np.ndarray:
-    """Feature matrix (n_pairs, n_features) in schema order for many pairs
-    of one dataset.
+    """Feature matrix (n_pairs, n_features) in schema order for the pairs
+    (``sigs[a[i]]``, ``sigs[b[i]]``) of one dataset.
 
-    Pairs are grouped by the block key of their first side. A group with at
-    least DENSE_PAIRS_PER_SIG pairs per distinct signature is computed
-    column-wise (_dense_features), any other pair by pair
+    A call with at least DENSE_PAIRS_PER_SIG pairs per distinct signature
+    index is computed column-wise (_dense_features), any other pair by pair
     (_compute_features); both give the same bytes. Profiles live for one
-    group only.
+    call only, so a caller that knows the blocks calls once per block.
     """
     unknown = [name for name in schema.names if name not in _FEATURE_NAMES]
     if unknown:
         raise SchemaMismatchError(f"schema requests unknown features {unknown}")
-    column = {name: j for j, name in enumerate(schema.names)}
-    X = np.empty((len(pairs), len(schema)), dtype=np.float64)
-    for rows in _block_groups(pairs):
-        group = [pairs[i] for i in rows]
-        n_sigs = len({s.signature_id for pair in group for s in pair})
-        if len(group) >= DENSE_PAIRS_PER_SIG * n_sigs:
-            for name, values in _dense_features(group, dataset, counts):
-                if name in column:
-                    X[rows, column[name]] = values
-        else:
-            index = ProfileIndex(dataset)
-            for i, (s1, s2) in zip(rows, group):
-                X[i] = _select(
-                    index.pair_values(index.get(s1), index.get(s2), counts), schema
-                )
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    X = np.empty((len(a), len(schema)), dtype=np.float64)
+    slots, local = np.unique(np.concatenate([a, b]), return_inverse=True)
+    if len(slots) and len(a) >= DENSE_PAIRS_PER_SIG * len(slots):
+        column = {name: j for j, name in enumerate(schema.names)}
+        group = [sigs[i] for i in slots.tolist()]
+        for name, values in _dense_features(group, *np.split(local, 2), dataset, counts):
+            if name in column:
+                X[:, column[name]] = values
+    else:
+        index = ProfileIndex(dataset)
+        for i, (j, k) in enumerate(zip(a.tolist(), b.tolist())):
+            X[i] = _select(
+                index.pair_values(index.get(sigs[j]), index.get(sigs[k]), counts), schema
+            )
     return X
 
 
-def _block_groups(pairs: Sequence[tuple[Signature, Signature]]) -> list[np.ndarray]:
-    """Row numbers of the pairs, grouped by their first side's block key."""
-    keys: dict[str, str] = {}
-    groups: dict[str, list[int]] = {}
-    for i, (s1, _) in enumerate(pairs):
-        key = keys.get(s1.signature_id)
-        if key is None:
-            key = keys[s1.signature_id] = blocking.block_key(s1)
-        groups.setdefault(key, []).append(i)
-    return [np.array(rows, dtype=np.intp) for rows in groups.values()]
-
-
 # ---------------------------------------------------------------------------
-# column-wise featurization of dense block groups
+# column-wise featurization of dense groups
 # ---------------------------------------------------------------------------
 
-# A block group is featurized column-wise once it holds at least this many
-# pairs per distinct signature, and pair by pair below that. A block of n
+# A featurize_pairs call is computed column-wise once it holds at least this
+# many pairs per distinct signature, and pair by pair below that. A block of n
 # signatures scored whole has (n - 1) / 2 pairs per signature. Measured on
 # whole blocks of n signatures drawn from two hard-generator corpora (2-vCPU
 # machine, median over 7 blocks per n), per-pair time over column-wise time
@@ -778,8 +765,8 @@ _SET_FEATURES = (
 
 
 class _GramFamily:
-    """One set-valued profile field of a block group's signatures, held as
-    int gram ids against a vocabulary of the group's own."""
+    """One set-valued profile field of a group's signatures, held as int
+    gram ids against a vocabulary of the group's own."""
 
     def __init__(self):
         self.vocab: dict = {}
@@ -867,29 +854,22 @@ def _equal(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dense_features(
-    pairs: Sequence[tuple[Signature, Signature]],
+    sigs: Sequence[Signature],
+    a: np.ndarray,
+    b: np.ndarray,
     dataset: Dataset,
     counts: NameCountsTable,
 ):
-    """Yield (feature name, column) for every feature of one block group's
-    pairs, computed column-wise with the bytes of _compute_features.
+    """Yield (feature name, column) for every feature of the pairs
+    (``sigs[a[i]]``, ``sigs[b[i]]``) of distinct signatures ``sigs``,
+    computed column-wise with the bytes of _compute_features.
 
-    Each distinct signature's profile is built once, reduced to gram ids
-    and scalars, and dropped. Each set family's intersection counts come
-    from one Gram product over the group's signatures, the name kernels run
-    once per distinct ordered (first, middle) name pair, and only the
-    embedding dot product stays per pair.
+    Each signature's profile is built once, reduced to gram ids and scalars,
+    and dropped. Each set family's intersection counts come from one Gram
+    product over the signatures, the name kernels run once per distinct
+    ordered (first, middle) name pair, and only the embedding dot product
+    stays per pair.
     """
-    slot: dict[str, int] = {}
-    sigs: list[Signature] = []
-    for pair in pairs:
-        for sig in pair:
-            if sig.signature_id not in slot:
-                slot[sig.signature_id] = len(sigs)
-                sigs.append(sig)
-    a = np.array([slot[s1.signature_id] for s1, _ in pairs], dtype=np.intp)
-    b = np.array([slot[s2.signature_id] for _, s2 in pairs], dtype=np.intp)
-
     families = {attr: _GramFamily() for _, attr in _SET_FEATURES}
     names, prefixes, suffixes, languages, papers, embeddings = [], [], [], [], [], []
     years, positions, abstracts = [], [], []
@@ -949,7 +929,7 @@ def _dense_features(
         c = np.array(name_counts[key], dtype=np.float64)
         yield feature, (np.minimum if agg is min else np.maximum)(c[a], c[b])
 
-    cosine = np.full(len(pairs), MISSING)
+    cosine = np.full(len(a), MISSING)
     for i, (j, k) in enumerate(zip(a.tolist(), b.tolist())):
         if embeddings[j] is not None and embeddings[k] is not None:
             cosine[i] = float(np.dot(embeddings[j], embeddings[k]))

@@ -151,11 +151,7 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def _block_names(block: Block, dataset: Dataset) -> list[str]:
-    names = []
-    for sig_id in block.members:
-        sig = dataset.signatures[sig_id]
-        names.append(blocking.normalize_name(sig.first, sig.middle, sig.last).full)
-    return names
+    return [dataset.signatures[sig_id].name.full for sig_id in block.members]
 
 
 def homonymity(block: Block, gold: Partition, dataset: Dataset) -> float:
@@ -222,9 +218,6 @@ class FacetBin:
 class FacetReport:
     facet: str
     bins: list[FacetBin]
-
-    def rows(self) -> list[tuple[str, str, int, float]]:
-        return [(self.facet, b.label, b.count, b.mean_f1) for b in self.bins]
 
 
 def _facet_values(

@@ -85,27 +85,30 @@ def sample_pairs(
     blocks = [b for b in blocks if dataset.splits.get(b.key) == split]
     if not blocks:
         raise ConfigError(f"split {split!r} contains no blocks")
-    candidates: list[tuple[str, str]] = []
-    for block in blocks:
-        members = block.members
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                candidates.append((members[i], members[j]))
+    # candidates as member indices, block by block in triu_indices order
+    members = [m for b in blocks for m in b.members]
+    sizes = [len(b) for b in blocks]
+    starts = np.cumsum([0] + sizes)
+    cand = np.concatenate(
+        [np.add(np.triu_indices(n, k=1), lo) for n, lo in zip(sizes, starts)], axis=1
+    )
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(candidates))
-    chosen = [candidates[i] for i in order[: max(cap, 0)]]
+    a, b = cand[:, rng.permutation(cand.shape[1])[: max(cap, 0)]]
 
+    # features one block at a time, so only one block's profiles are alive
     feat_ds = source if source is not None else dataset
-    sig_pairs = [
-        (feat_ds.signatures[a], feat_ds.signatures[b]) for a, b in chosen
-    ]
-    X = featurize_pairs(sig_pairs, feat_ds, counts, schema)
-    gold = dataset.gold.assignment
+    sigs = [feat_ds.signatures[m] for m in members]
+    X = np.empty((len(a), len(schema)), dtype=np.float64)
+    block_of = np.repeat(np.arange(len(blocks)), sizes)[a]
+    order = np.argsort(block_of, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(block_of[order])) + 1):
+        X[rows] = featurize_pairs(sigs, a[rows], b[rows], feat_ds, counts, schema)
+    label = np.array([dataset.gold.assignment[m] for m in members])
     return PairSample(
-        sig_a=tuple(a for a, _ in chosen),
-        sig_b=tuple(b for _, b in chosen),
+        sig_a=tuple(members[i] for i in a.tolist()),
+        sig_b=tuple(members[i] for i in b.tolist()),
         X=X,
-        y=np.array([gold[a] == gold[b] for a, b in chosen], dtype=np.float64),
+        y=(label[a] == label[b]).astype(np.float64),
     )
 
 

@@ -319,11 +319,11 @@ class TestTune:
         assert (hp["n_trees"], hp["max_leaves"]) == (25, 8)
 
 
-def run_process(argv, timeout=120) -> subprocess.CompletedProcess:
+def run_process(argv, timeout=120, env=None) -> subprocess.CompletedProcess:
     """The CLI as its own process, so an uncaught exception shows as a
     traceback on stderr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(andlib.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, "-m", "andlib.cli", *[str(a) for a in argv]],
         capture_output=True, text=True, env=env, timeout=timeout,
@@ -336,6 +336,40 @@ def write_corpus(data, papers) -> None:
     (data / "signatures.json").write_text(json.dumps(
         [{"signature_id": "s", "paper_id": "p", "author_position": 1, "last": "B"}]
     ))
+
+
+def write_pair_corpus(data, edit) -> None:
+    """Two signatures of one block on two papers, the first paper with two
+    authors; ``edit(papers, signatures)`` changes the JSON before writing."""
+    papers = {
+        "p": {"title": "t", "authors": [{"position": 1, "name": "A B"},
+                                        {"position": 2, "name": "C D"}]},
+        "q": {"title": "u", "authors": [{"position": 1, "name": "A B"}]},
+    }
+    signatures = [
+        {"signature_id": "s", "paper_id": "p", "author_position": 1,
+         "first": "A", "last": "B"},
+        {"signature_id": "t", "paper_id": "q", "author_position": 1,
+         "first": "A", "last": "B"},
+    ]
+    edit(papers, signatures)
+    data.mkdir()
+    (data / "papers.json").write_text(json.dumps(papers))
+    (data / "signatures.json").write_text(json.dumps(signatures))
+
+
+def set_signature(key, value):
+    return lambda papers, signatures: signatures[0].__setitem__(key, value)
+
+
+def set_paper(key, value):
+    return lambda papers, signatures: papers["p"].__setitem__(key, value)
+
+
+def set_author(key, value, position):
+    def edit(papers, signatures):
+        papers["p"]["authors"][position - 1][key] = value
+    return edit
 
 
 def eval_argv(data, tmp_path):
@@ -494,6 +528,49 @@ class TestTypedErrors:
         splits = json.loads((trained_dir / "splits.json").read_text())
         splits["zz nosuchblock"] = "train"
         self.train_with_splits(corpus_dir, fast_config, tmp_path, splits)
+
+    @pytest.mark.parametrize("edit", [
+        set_signature("last", 5),
+        set_signature("signature_id", [1]),
+        set_signature("paper_id", [1]),
+        set_signature("affiliations", [5]),
+        set_signature("affiliations", "MIT"),
+        set_signature("author_position", True),
+        set_author("position", "1", 1),
+        set_author("name", 7, 2),
+        set_paper("title", 7),
+        set_paper("references", 7),
+        set_paper("references", [7]),
+        set_paper("authors", 7),
+    ], ids=["last_number", "signature_id_list", "paper_id_list", "affiliation_number",
+            "affiliations_string", "author_position_bool", "author_position_string",
+            "author_name_number", "title_number", "references_number",
+            "reference_number", "authors_number"])
+    def test_mistyped_corpus_field(self, trained_dir, tmp_path, edit):
+        data = tmp_path / "data"
+        write_pair_corpus(data, edit)
+        self.check(["cluster", "--data", data, "--out", tmp_path / "o",
+                    "--model", trained_dir / "model.json"], 3)
+
+    def test_pair_corpus_unedited_clusters(self, trained_dir, tmp_path):
+        data = tmp_path / "data"
+        write_pair_corpus(data, lambda papers, signatures: None)
+        assert run(["cluster", "--data", data, "--out", tmp_path / "o",
+                    "--model", trained_dir / "model.json"]) == 0
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_cluster_jobs_below_one(self, corpus_dir, trained_dir, tmp_path, jobs):
+        self.check(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--model", trained_dir / "model.json", "--jobs", jobs], 2,
+                   message="--jobs")
+
+    def test_non_integer_jobs_environment(self, corpus_dir, trained_dir, tmp_path):
+        proc = run_process(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
+                            "--model", trained_dir / "model.json"],
+                           env={"ANDLIB_JOBS": "x"})
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "argument --jobs: invalid int value: 'x'" in proc.stderr, proc.stderr
+        assert proc.returncode == 2
 
     def test_tune_with_unknown_hyperparameter(self, corpus_dir, tmp_path):
         cfg = tmp_path / "hp.json"

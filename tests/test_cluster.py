@@ -276,9 +276,7 @@ class TestDistanceMatrix:
             n = len(block.members)
             sigs = [ds.signatures[m] for m in block.members]
             ii, jj = np.triu_indices(n, k=1)
-            X = featurize_pairs(
-                [(sigs[i], sigs[j]) for i, j in zip(ii, jj)], ds, counts, schema
-            )
+            X = featurize_pairs(sigs, ii, jj, ds, counts, schema)
             firsts = [normalize_name(s.first, s.middle, s.last).first for s in sigs]
             want = np.zeros((n, n))
             want[ii, jj] = want[jj, ii] = 1.0 - ens.predict_from_features(X)
@@ -452,6 +450,35 @@ class TestClusterCorpus:
         else:
             assert len(calls) > 2
             assert all(n >= batch_pairs for n in calls[:-1])
+
+    def test_serial_run_keeps_no_reference_to_its_inputs(self, trained):
+        import dataclasses
+        import gc
+        import weakref
+
+        ds, ens, counts, schema = trained
+        ds = dataclasses.replace(ds)
+        ens = dataclasses.replace(ens)
+        refs = [weakref.ref(ds), weakref.ref(ens)]
+        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts, schema, jobs=1)
+        del ds, ens
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_names_are_normalized_only_when_signatures_are_built(
+        self, trained, monkeypatch
+    ):
+        from andlib import blocking
+
+        ds, ens, counts, schema = trained
+        calls = []
+        real = blocking.normalize_name
+        monkeypatch.setattr(
+            blocking, "normalize_name", lambda *args: calls.append(args) or real(*args)
+        )
+        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts, schema)
+        build_name_counts(ds)
+        assert calls == []
 
     def test_eps_zero_gives_singletons(self, trained):
         ds, ens, counts, schema = trained

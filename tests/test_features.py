@@ -282,17 +282,18 @@ class TestFeaturizePair:
 
 
 def block_pairs(dataset):
-    """Every within-block (i < j) signature pair, block by block."""
-    sigs = dataset.signatures
-    return [
-        (sigs[block.members[i]], sigs[block.members[j]])
-        for block in build_blocks(dataset)
-        for i in range(len(block.members))
-        for j in range(i + 1, len(block.members))
-    ]
+    """Every within-block (i < j) signature pair, block by block, as index
+    arrays (a, b) into the returned signature list."""
+    sigs, a, b = [], [], []
+    for block in build_blocks(dataset):
+        ii, jj = np.triu_indices(len(block), k=1)
+        a.append(ii + len(sigs))
+        b.append(jj + len(sigs))
+        sigs.extend(dataset.signatures[m] for m in block.members)
+    return sigs, np.concatenate(a), np.concatenate(b)
 
 
-def oracle_features(pairs, dataset, counts, schema):
+def oracle_features(sigs, a, b, dataset, counts, schema):
     """_compute_features row by row, the reference for featurize_pairs."""
     profiles = {}
 
@@ -302,26 +303,24 @@ def oracle_features(pairs, dataset, counts, schema):
         return profiles[sig.signature_id]
 
     rows = []
-    for a, b in pairs:
-        values = _compute_features(profile(a), profile(b), counts)
+    for i, j in zip(a, b):
+        values = _compute_features(profile(sigs[i]), profile(sigs[j]), counts)
         rows.append([values[name] for name in schema.names])
-    return np.array(rows, dtype=np.float64).reshape(len(pairs), len(schema))
+    return np.array(rows, dtype=np.float64).reshape(len(a), len(schema))
 
 
-def assert_matches_oracle(pairs, dataset, schema):
+def assert_matches_oracle(sigs, a, b, dataset, schema):
     counts = build_name_counts(dataset)
-    got = featurize_pairs(pairs, dataset, counts, schema)
-    want = oracle_features(pairs, dataset, counts, schema)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    swapped = [(b, a) for a, b in pairs]
-    got = featurize_pairs(swapped, dataset, counts, schema)
-    assert got.tobytes() == oracle_features(swapped, dataset, counts, schema).tobytes()
+    for x, y in ((a, b), (b, a)):  # both orders
+        got = featurize_pairs(sigs, x, y, dataset, counts, schema)
+        want = oracle_features(sigs, x, y, dataset, counts, schema)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(params=["per_pair", "column_wise"])
 def kernel(request, monkeypatch):
-    """Force every block group onto one kernel."""
+    """Force every featurize_pairs call onto one kernel."""
     per_pair = request.param == "per_pair"
     monkeypatch.setattr(features, "DENSE_PAIRS_PER_SIG", math.inf if per_pair else 0.0)
     return request.param
@@ -354,32 +353,40 @@ class TestFeaturizePairsOracle:
     def test_every_block_pair_matches_compute_features_both_orders(self, small_corpus):
         schema = default_schema()
         counts = build_name_counts(small_corpus)
-        pairs = block_pairs(small_corpus)
-        assert len(pairs) > 100
-        expected = oracle_features(pairs, small_corpus, counts, schema)
-        swapped = [(b, a) for a, b in pairs]
-        forward = featurize_pairs(pairs, small_corpus, counts, schema)
-        backward = featurize_pairs(swapped, small_corpus, counts, schema)
+        sigs, a, b = block_pairs(small_corpus)
+        assert len(a) > 100
+        expected = oracle_features(sigs, a, b, small_corpus, counts, schema)
+        forward = featurize_pairs(sigs, a, b, small_corpus, counts, schema)
+        backward = featurize_pairs(sigs, b, a, small_corpus, counts, schema)
         assert np.array_equal(forward, expected, equal_nan=True)
         assert np.array_equal(backward, expected, equal_nan=True)
 
     def test_each_kernel_matches_compute_features_bytes(self, small_corpus, kernel):
-        assert_matches_oracle(block_pairs(small_corpus), small_corpus, default_schema())
+        assert_matches_oracle(*block_pairs(small_corpus), small_corpus, default_schema())
 
     def test_gram_products_in_many_vocabulary_chunks(self, small_corpus, monkeypatch):
         monkeypatch.setattr(features, "DENSE_PAIRS_PER_SIG", 0.0)
         monkeypatch.setattr(features, "GRAM_CHUNK_BYTES", 1)  # one column a chunk
-        assert_matches_oracle(block_pairs(small_corpus), small_corpus, default_schema())
+        assert_matches_oracle(*block_pairs(small_corpus), small_corpus, default_schema())
 
     def test_shuffled_pairs_across_blocks(self, small_corpus, kernel):
-        # the shape sample_pairs passes, plus one pair across two blocks
-        pairs = block_pairs(small_corpus)
-        order = np.random.Generator(np.random.PCG64(3)).permutation(len(pairs))
-        pairs = [pairs[i] for i in order]
-        a = pairs[0][0]
-        b = next(s for _, s in pairs if block_key(s) != block_key(a))
-        pairs.insert(len(pairs) // 2, (a, b))
-        assert_matches_oracle(pairs, small_corpus, default_schema())
+        # many blocks' pairs in random order in one call, plus one pair
+        # across two blocks
+        sigs, a, b = block_pairs(small_corpus)
+        order = np.random.Generator(np.random.PCG64(3)).permutation(len(a))
+        a, b = a[order], b[order]
+        k = next(k for k in b if block_key(sigs[k]) != block_key(sigs[a[0]]))
+        mid = len(a) // 2
+        a, b = np.insert(a, mid, a[0]), np.insert(b, mid, k)
+        assert_matches_oracle(sigs, a, b, small_corpus, default_schema())
+
+    def test_repeated_signature_indices(self, small_corpus, kernel):
+        # the same signature at two indices, and a signature paired with itself
+        sigs, a, b = block_pairs(small_corpus)
+        sigs = sigs + sigs[:1]
+        a = np.append(a, [len(sigs) - 1, 0, 0])
+        b = np.append(b, [1, len(sigs) - 1, 0])
+        assert_matches_oracle(sigs, a, b, small_corpus, default_schema())
 
     @pytest.mark.parametrize(
         "dropped",
@@ -388,15 +395,15 @@ class TestFeaturizePairsOracle:
     )
     def test_dropped_feature_schemas(self, small_corpus, kernel, dropped):
         schema = default_schema().drop(dropped)
-        assert_matches_oracle(block_pairs(small_corpus), small_corpus, schema)
+        assert_matches_oracle(*block_pairs(small_corpus), small_corpus, schema)
 
     def test_missing_fields_and_dangling_references(self, small_corpus, kernel):
         dataset = with_sparse_fields(small_corpus)
-        assert_matches_oracle(block_pairs(dataset), dataset, default_schema())
+        assert_matches_oracle(*block_pairs(dataset), dataset, default_schema())
 
     def test_empty_pair_list(self, pair_fixture, kernel):
         dataset, counts, schema = pair_fixture
-        X = featurize_pairs([], dataset, counts, schema)
+        X = featurize_pairs([], [], [], dataset, counts, schema)
         assert X.shape == (0, len(schema)) and X.dtype == np.float64
 
     def test_unknown_schema_name_is_refused(self, pair_fixture, kernel):
@@ -404,7 +411,7 @@ class TestFeaturizePairsOracle:
         bad = FeatureSchema(schema.features + (FeatureSpec("no_such_feature", "g", 0),))
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
         with pytest.raises(SchemaMismatchError):
-            featurize_pairs([(s1, s2), (s2, s1)], dataset, counts, bad)
+            featurize_pairs([s1, s2], [0, 1], [1, 0], dataset, counts, bad)
 
     @given(
         st.lists(

@@ -505,6 +505,81 @@ class TestSamplePairs:
             assert ds.splits[blocks[a]] == "train"
 
 
+def nested_loop_sample(ds, split, cap, seed, counts, schema, source=None):
+    """sample_pairs as a nested loop over each block's members, featurized
+    pair by pair with _compute_features."""
+    from andlib.features import SignatureProfile, _compute_features
+
+    candidates = []
+    for block in build_blocks(ds):
+        if ds.splits.get(block.key) != split:
+            continue
+        m = block.members
+        for i in range(len(m)):
+            for j in range(i + 1, len(m)):
+                candidates.append((m[i], m[j]))
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(len(candidates))
+    chosen = [candidates[i] for i in order[: max(cap, 0)]]
+    feat = source if source is not None else ds
+    rows = []
+    for a, b in chosen:
+        values = _compute_features(
+            SignatureProfile(feat.signatures[a], feat),
+            SignatureProfile(feat.signatures[b], feat),
+            counts,
+        )
+        rows.append([values[name] for name in schema.names])
+    gold = ds.gold.assignment
+    return (
+        tuple(a for a, _ in chosen),
+        tuple(b for _, b in chosen),
+        np.array(rows, dtype=np.float64).reshape(len(chosen), len(schema)),
+        np.array([gold[a] == gold[b] for a, b in chosen], dtype=np.float64),
+    )
+
+
+class TestSamplePairsOracle:
+    @pytest.fixture(scope="class")
+    def corpus(self, small_corpus):
+        # the synthetic corpus plus three one-signature blocks in train
+        papers, sigs = dict(small_corpus.papers), dict(small_corpus.signatures)
+        gold = dict(small_corpus.gold.assignment)
+        lasts = ("Zzyzx", "Qwop", "Xylo")
+        for k, last in enumerate(lasts):
+            papers[f"solo-p{k}"] = Paper(
+                paper_id=f"solo-p{k}", title=f"solo {k}", author_names=(f"Ann {last}",)
+            )
+            sigs[f"solo-s{k}"] = Signature(
+                signature_id=f"solo-s{k}", paper_id=f"solo-p{k}", author_position=1,
+                first="Ann", middle=None, last=last,
+            )
+            gold[f"solo-s{k}"] = f"solo-{k}"
+        ds = split_blocks(Dataset(papers, sigs, Partition(gold)), seed=4)
+        ds.splits.update({f"a {last.lower()}": "train" for last in lasts})
+        train = [b for b in build_blocks(ds) if ds.splits[b.key] == "train"]
+        assert any(len(b) == 1 for b in train) and any(len(b) > 6 for b in train)
+        n = sum(len(b) * (len(b) - 1) // 2 for b in train)
+        return ds, build_name_counts(ds), n
+
+    @pytest.mark.parametrize("cap", ["0", "1", "N", "10N"])
+    @pytest.mark.parametrize("knockout", [False, True], ids=["clean", "knockout"])
+    def test_matches_nested_loop(self, corpus, cap, knockout):
+        from andlib.corpus import KNOCKOUT_GROUPS, knockout_augment
+
+        ds, counts, n = corpus
+        cap = {"0": 0, "1": 1, "N": n, "10N": 10 * n}[cap]
+        source = (
+            knockout_augment(ds, 5, {g: 0.5 for g in KNOCKOUT_GROUPS}) if knockout else None
+        )
+        schema = default_schema()
+        got = sample_pairs(ds, "train", cap, 7, counts, schema, source=source)
+        sig_a, sig_b, X, y = nested_loop_sample(ds, "train", cap, 7, counts, schema, source)
+        assert len(got) == min(cap, n)
+        assert (got.sig_a, got.sig_b) == (sig_a, sig_b)
+        assert got.y.dtype == y.dtype and got.y.tobytes() == y.tobytes()
+        assert got.X.shape == X.shape and got.X.tobytes() == X.tobytes()
+
+
 class TestLinearModel:
     def test_separable_toy(self):
         X, y = separable_problem()
