@@ -152,7 +152,8 @@ def _run_config(args) -> RunConfig:
 
 
 def cmd_synth(args) -> int:
-    doc = _load_config_file(args.config)
+    cfg = GeneratorConfig.from_doc(_load_config_file(args.config))
+    overrides = {}
     for flag, key in (
         ("authors", "n_authors"),
         ("mean_papers", "mean_papers"),
@@ -161,8 +162,8 @@ def cmd_synth(args) -> int:
     ):
         value = getattr(args, flag)
         if value is not None:
-            doc[key] = value
-    cfg = GeneratorConfig.from_doc(doc)
+            overrides[key] = value
+    cfg = GeneratorConfig.from_doc({**cfg.to_doc(), **overrides})
     dataset = generate_synthetic_corpus(args.seed, cfg)
     with _writing():
         save_dataset(dataset, args.out)

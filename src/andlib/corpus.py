@@ -292,10 +292,12 @@ def load_dataset(
     if embeddings_file is not None:
         emb_raw = _load_json(embeddings_file)
         try:
-            dim = int(emb_raw["dim"])
+            dim = emb_raw["dim"]
             vectors = emb_raw["vectors"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{embeddings_file}: missing dim/vectors header") from exc
+        if type(dim) is not int or dim < 0:
+            raise ParseError(f"{embeddings_file}: dim must be an integer >= 0, got {dim!r}")
         if not isinstance(vectors, dict):
             raise ParseError(f"{embeddings_file}: vectors must be an object")
         for pid, vec in vectors.items():
@@ -462,18 +464,20 @@ def build_name_counts(dataset: Dataset) -> NameCountsTable:
 
 
 def load_name_counts(path: str | os.PathLike) -> NameCountsTable:
+    """Read a name-counts sidecar: an object of the four NameCountsTable
+    tables, each an object of non-negative integer counts."""
     raw = _load_json(path)
-    try:
-        return NameCountsTable(
-            first={k: int(v) for k, v in raw["first"].items()},
-            last={k: int(v) for k, v in raw["last"].items()},
-            first_last={k: int(v) for k, v in raw["first_last"].items()},
-            first_initial_last={
-                k: int(v) for k, v in raw["first_initial_last"].items()
-            },
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: malformed name counts sidecar") from exc
+    tables = {}
+    for name in ("first", "last", "first_last", "first_initial_last"):
+        table = raw.get(name) if isinstance(raw, dict) else None
+        if not isinstance(table, dict) or not all(
+            type(v) is int and v >= 0 for v in table.values()  # bool is an int subclass
+        ):
+            raise ParseError(
+                f"{path}: {name!r} must be an object of non-negative integer counts"
+            )
+        tables[name] = table
+    return NameCountsTable(**tables)
 
 
 def save_name_counts(table: NameCountsTable, path: str | os.PathLike) -> None:

@@ -16,9 +16,11 @@ own name surface form (co-author names are kept).
 featurize_pairs is the one path from signature pairs to a feature matrix.
 It takes pairs as two index arrays into a signature list, treats each call
 as one group, and builds that group's signature profiles for the call only;
-the module keeps no state between calls. A dense group is featurized
-column-wise, every Jaccard family as one Gram product of 0/1 gram
-indicators; a sparse one pair by pair. Both give the same bytes.
+the module keeps no state between calls. Every feature is computed
+column-wise over the group's distinct signatures. Only the 13 set-overlap
+Jaccards have two kernels: a dense group gets each family from one Gram
+product of 0/1 gram indicators, a sparse one from set intersections pair by
+pair. Both give the same bytes as the per-pair reference in the tests.
 """
 
 from __future__ import annotations
@@ -332,7 +334,6 @@ class SignatureProfile:
     """
 
     __slots__ = (
-        "sig_id",
         "paper_id",
         "name",
         "coauthor_keys",
@@ -364,7 +365,6 @@ class SignatureProfile:
             raise IntegrityError(
                 f"signature {sig.signature_id!r} references missing paper"
             )
-        self.sig_id = sig.signature_id
         self.paper_id = sig.paper_id
         self.name = name = sig.name
 
@@ -463,39 +463,22 @@ class SignatureProfile:
 
 
 class ProfileIndex:
-    """SignatureProfile objects of one dataset, built on first use.
+    """The per-pair set overlaps of sparse featurize_pairs calls.
 
-    Each featurize_pairs call owns one index and drops it on return, so no
-    profile outlives the call that built it.
+    It holds no state. It stays a class with a method, and _compute_features
+    a module function, because perfbench/spans.py times both by patching
+    them by name; both can go once runs write their own stats (ROADMAP
+    item 1).
     """
 
-    def __init__(self, dataset: Dataset):
-        self._dataset = dataset
-        self._profiles: dict[str, SignatureProfile] = {}
-
-    def get(self, sig: Signature) -> SignatureProfile:
-        prof = self._profiles.get(sig.signature_id)
-        if prof is None:
-            prof = SignatureProfile(sig, self._dataset)
-            self._profiles[sig.signature_id] = prof
-        return prof
-
-    def pair_values(
-        self, pa: SignatureProfile, pb: SignatureProfile, counts: NameCountsTable
-    ) -> dict[str, float]:
-        """Schema-independent feature values for one pair."""
-        return _compute_features(pa, pb, counts)
+    def pair_values(self, pa: SignatureProfile, pb: SignatureProfile) -> tuple[float, ...]:
+        """The _SET_FEATURES values of one pair, in that order."""
+        return _compute_features(pa, pb)
 
 
 # ---------------------------------------------------------------------------
 # pair featurization
 # ---------------------------------------------------------------------------
-
-
-def _equal01(a, b) -> float:
-    if a is None or b is None:
-        return MISSING
-    return 1.0 if a == b else 0.0
 
 
 def _fullness(a: str, b: str) -> float:
@@ -565,109 +548,33 @@ _COUNT_GETTERS = {
     "first_initial_last": "get_first_initial_last",
 }
 
-
-def _compute_features(
-    pa: SignatureProfile,
-    pb: SignatureProfile,
-    counts: NameCountsTable,
-) -> dict[str, float]:
-    """Every feature of one pair, computed pair by pair: the kernel of
-    sparse groups and the reference the column-wise kernel matches."""
-    out = dict(
-        zip(
-            _NAME_FEATURES,
-            _name_features(pa.name.first, pa.name.middle, pb.name.first, pb.name.middle),
-        )
-    )
-
-    if pa.affiliation_grams is not None and pb.affiliation_grams is not None:
-        out["affiliation_word_jaccard"] = set_jaccard(
-            pa.affiliation_grams, pb.affiliation_grams
-        )
-    else:
-        out["affiliation_word_jaccard"] = MISSING
-
-    out["email_prefix_equal"] = _equal01(pa.email_prefix, pb.email_prefix)
-    out["email_suffix_equal"] = _equal01(pa.email_suffix, pb.email_suffix)
-
-    out["coauthor_key_jaccard"] = set_jaccard(pa.coauthor_keys, pb.coauthor_keys)
-    out["coauthor_name_jaccard"] = set_jaccard(pa.coauthor_names, pb.coauthor_names)
-    out["coauthor_char_jaccard"] = set_jaccard(pa.coauthor_grams, pb.coauthor_grams)
-
-    out["venue_char_jaccard"] = (
-        set_jaccard(pa.venue_grams, pb.venue_grams)
-        if pa.venue_grams is not None and pb.venue_grams is not None
-        else MISSING
-    )
-    out["journal_char_jaccard"] = (
-        set_jaccard(pa.journal_grams, pb.journal_grams)
-        if pa.journal_grams is not None and pb.journal_grams is not None
-        else MISSING
-    )
-
-    if pa.year is not None and pb.year is not None:
-        out["year_diff"] = float(abs(pa.year - pb.year))
-    else:
-        out["year_diff"] = MISSING
-
-    out["title_word_jaccard"] = (
-        set_jaccard(pa.title_word_g, pb.title_word_g)
-        if pa.title_word_g is not None and pb.title_word_g is not None
-        else MISSING
-    )
-    out["title_char_jaccard"] = (
-        set_jaccard(pa.title_char_g, pb.title_char_g)
-        if pa.title_char_g is not None and pb.title_char_g is not None
-        else MISSING
-    )
-
-    have_refs = bool(pa.ref_ids) and bool(pb.ref_ids)
-    for name, attr in (
-        ("ref_author_char_jaccard", "ref_author_grams"),
-        ("ref_title_char_jaccard", "ref_title_grams"),
-        ("ref_venue_char_jaccard", "ref_venue_grams"),
-        ("ref_key_char_jaccard", "ref_key_grams"),
-    ):
-        out[name] = (
-            set_jaccard(getattr(pa, attr), getattr(pb, attr))
-            if have_refs
-            else MISSING
-        )
-    out["cite_each_other"] = float(
-        pa.paper_id in pb.ref_ids or pb.paper_id in pa.ref_ids
-    )
-    if pa.ref_ids or pb.ref_ids:
-        out["ref_cocitation_jaccard"] = set_jaccard(pa.ref_ids, pb.ref_ids)
-    else:
-        out["ref_cocitation_jaccard"] = MISSING
-
-    out["position_diff"] = float(abs(pa.position - pb.position))
-    out["abstract_count"] = float(pa.has_abstract + pb.has_abstract)
-
-    out["english_count"] = float(
-        (pa.language == "en") + (pb.language == "en")
-    )
-    out["same_language"] = _equal01(pa.language, pb.language)
-    out["language_count"] = float(
-        (pa.language is not None) + (pb.language is not None)
-    )
-
-    for feat, key, agg in _COUNT_FEATURES:
-        getter = getattr(counts, _COUNT_GETTERS[key])
-        ca = getter(pa.count_keys[key])
-        cb = getter(pb.count_keys[key])
-        out[feat] = float(agg(ca, cb)) if ca is not None and cb is not None else MISSING
-
-    if pa.embedding is not None and pb.embedding is not None:
-        out["embedding_cosine"] = float(np.dot(pa.embedding, pb.embedding))
-    else:
-        out["embedding_cosine"] = MISSING
-
-    return out
+#: every set-valued Jaccard feature and the profile field it compares; a
+#: field that is None on either side makes the feature missing
+_SET_FEATURES = (
+    ("coauthor_key_jaccard", "coauthor_keys"),
+    ("coauthor_name_jaccard", "coauthor_names"),
+    ("coauthor_char_jaccard", "coauthor_grams"),
+    ("affiliation_word_jaccard", "affiliation_grams"),
+    ("venue_char_jaccard", "venue_grams"),
+    ("journal_char_jaccard", "journal_grams"),
+    ("title_word_jaccard", "title_word_g"),
+    ("title_char_jaccard", "title_char_g"),
+    ("ref_author_char_jaccard", "ref_author_grams"),
+    ("ref_title_char_jaccard", "ref_title_grams"),
+    ("ref_venue_char_jaccard", "ref_venue_grams"),
+    ("ref_key_char_jaccard", "ref_key_grams"),
+    ("ref_cocitation_jaccard", "ref_ids"),
+)
 
 
-def _select(values: dict[str, float], schema: FeatureSchema) -> np.ndarray:
-    return np.array([values[name] for name in schema.names], dtype=np.float64)
+def _compute_features(pa: SignatureProfile, pb: SignatureProfile) -> tuple[float, ...]:
+    """The _SET_FEATURES values of one pair, set by set: the set overlaps of
+    sparse featurize_pairs calls."""
+    out = []
+    for _, attr in _SET_FEATURES:
+        x, y = getattr(pa, attr), getattr(pb, attr)
+        out.append(MISSING if x is None or y is None else set_jaccard(x, y))
+    return tuple(out)
 
 
 def featurize_pair(
@@ -692,47 +599,49 @@ def featurize_pairs(
     """Feature matrix (n_pairs, n_features) in schema order for the pairs
     (``sigs[a[i]]``, ``sigs[b[i]]``) of one dataset.
 
-    A call with at least DENSE_PAIRS_PER_SIG pairs per distinct signature
-    index is computed column-wise (_dense_features), any other pair by pair
-    (_compute_features); both give the same bytes. Profiles live for one
-    call only, so a caller that knows the blocks calls once per block.
+    Every feature is computed column-wise over the call's distinct signature
+    indices (_feature_columns). Only the _SET_FEATURES Jaccards have two
+    kernels: Gram products over interned gram ids when the call holds at
+    least DENSE_PAIRS_PER_SIG pairs per distinct signature index, else set
+    intersections pair by pair (ProfileIndex.pair_values); both give the
+    same bytes. Profiles live for one call only, so a caller that knows the
+    blocks calls once per block.
     """
     unknown = [name for name in schema.names if name not in _FEATURE_NAMES]
     if unknown:
         raise SchemaMismatchError(f"schema requests unknown features {unknown}")
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     X = np.empty((len(a), len(schema)), dtype=np.float64)
+    if not len(a):
+        return X
     slots, local = np.unique(np.concatenate([a, b]), return_inverse=True)
-    if len(slots) and len(a) >= DENSE_PAIRS_PER_SIG * len(slots):
-        column = {name: j for j, name in enumerate(schema.names)}
-        group = [sigs[i] for i in slots.tolist()]
-        for name, values in _dense_features(group, *np.split(local, 2), dataset, counts):
-            if name in column:
-                X[:, column[name]] = values
-    else:
-        index = ProfileIndex(dataset)
-        for i, (j, k) in enumerate(zip(a.tolist(), b.tolist())):
-            X[i] = _select(
-                index.pair_values(index.get(sigs[j]), index.get(sigs[k]), counts), schema
-            )
+    dense = len(a) >= DENSE_PAIRS_PER_SIG * len(slots)
+    column = {name: j for j, name in enumerate(schema.names)}
+    group = [sigs[i] for i in slots.tolist()]
+    for name, values in _feature_columns(group, *np.split(local, 2), dataset, counts, dense):
+        if name in column:
+            X[:, column[name]] = values
     return X
 
 
 # ---------------------------------------------------------------------------
-# column-wise featurization of dense groups
+# column-wise featurization
 # ---------------------------------------------------------------------------
 
-# A featurize_pairs call is computed column-wise once it holds at least this
-# many pairs per distinct signature, and pair by pair below that. A block of n
-# signatures scored whole has (n - 1) / 2 pairs per signature. Measured on
-# whole blocks of n signatures drawn from two hard-generator corpora (2-vCPU
-# machine, median over 7 blocks per n), per-pair time over column-wise time
-# was 0.83 at n = 8, 0.85-0.99 at 10, 1.03-1.20 at 12, 0.97-1.14 at 14,
-# 1.25-1.41 at 16, 1.7 at 32, 4 at 64 and 9-12 at 256: the kernels cross
-# between 4.5 and 6.5 pairs per signature.
+# A featurize_pairs call takes its set overlaps from Gram products once it
+# holds at least this many pairs per distinct signature, and pair by pair
+# below that. A block of n signatures scored whole has (n - 1) / 2 pairs per
+# signature. Measured on all pairs of n signatures drawn from one block of the
+# bench's train or cluster-giant corpus (2-vCPU machine, best of 7 runs per
+# kernel, median over 7 draws per n), pair-by-pair time over Gram-product
+# time was 0.81 at n = 8, 0.88-0.89 at 10, 0.99 at 12, 1.04-1.06 at 14,
+# 1.10-1.13 at 16, 1.7-1.8 at 32 and 3.1 at 64: the kernels tie near 5.5
+# pairs per signature.
 DENSE_PAIRS_PER_SIG = 6.0
 
-# Bytes of 0/1 float32 indicator that one Gram product holds at once.
+# Bytes of scratch one column-wise product holds at once: the 0/1 float32
+# indicator of a Gram product, or the float64 embedding rows of a batch of
+# pairs.
 GRAM_CHUNK_BYTES = 1 << 22
 
 # Rows of a Gram product's indicator are padded with zeros to a multiple of
@@ -744,24 +653,6 @@ GRAM_CHUNK_BYTES = 1 << 22
 GRAM_ROW_ALIGN = 64
 
 _FEATURE_NAMES = frozenset(f.name for f in _DEFAULT_FEATURES)
-
-#: every set-valued Jaccard feature and the profile field it compares; a
-#: field that is None on either side makes the feature missing
-_SET_FEATURES = (
-    ("coauthor_key_jaccard", "coauthor_keys"),
-    ("coauthor_name_jaccard", "coauthor_names"),
-    ("coauthor_char_jaccard", "coauthor_grams"),
-    ("affiliation_word_jaccard", "affiliation_grams"),
-    ("venue_char_jaccard", "venue_grams"),
-    ("journal_char_jaccard", "journal_grams"),
-    ("title_word_jaccard", "title_word_g"),
-    ("title_char_jaccard", "title_char_g"),
-    ("ref_author_char_jaccard", "ref_author_grams"),
-    ("ref_title_char_jaccard", "ref_title_grams"),
-    ("ref_venue_char_jaccard", "ref_venue_grams"),
-    ("ref_key_char_jaccard", "ref_key_grams"),
-    ("ref_cocitation_jaccard", "ref_ids"),
-)
 
 
 class _GramFamily:
@@ -784,9 +675,6 @@ class _GramFamily:
             # one its id, all in C; the values an old gram skips leave gaps
             self.ids.extend(map(self.vocab.setdefault, values, self._next_id))
 
-    def _owners(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.sizes)), self.sizes)
-
     def intersections(self) -> np.ndarray:
         """(S, S) float32 |A & B| over the group's S signatures.
 
@@ -800,7 +688,7 @@ class _GramFamily:
         shared = np.bincount(ids, minlength=1) > 1
         keep = shared[ids]
         cols = (np.cumsum(shared) - 1)[ids[keep]]
-        owners = self._owners()[keep]
+        owners = np.repeat(np.arange(n), self.sizes)[keep]
         order = np.argsort(cols, kind="stable")
         cols, owners = cols[order], owners[order]
         n_cols = int(np.count_nonzero(shared))
@@ -830,13 +718,6 @@ class _GramFamily:
         np.divide(inter, union, out=out, where=defined)
         return out
 
-    def holds(self, owners: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Whether the set of signature owners[i] holds gram id ids[i] (-1
-        is held by none)."""
-        span = next(self._next_id)  # above every id handed out so far
-        entries = self._owners() * span + np.asarray(self.ids, dtype=np.int64)
-        return (ids >= 0) & np.isin(owners * span + ids, entries)
-
 
 def _intern(values: Sequence) -> tuple[np.ndarray, list]:
     """Each value's id in first-seen order (-1 for None), and the distinct
@@ -847,42 +728,68 @@ def _intern(values: Sequence) -> tuple[np.ndarray, list]:
 
 
 def _equal(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_equal01 over interned values."""
+    """1 where two interned values are equal, 0 where not, missing where
+    either is None."""
     out = (codes[a] == codes[b]).astype(np.float64)
     out[(codes[a] < 0) | (codes[b] < 0)] = MISSING
     return out
 
 
-def _dense_features(
+def _cosines(embeddings: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the unit vectors of the pairs (a[i], b[i]), missing
+    where either is None."""
+    has = np.array([e is not None for e in embeddings])
+    out = np.full(len(a), MISSING)
+    both = np.flatnonzero(has[a] & has[b])
+    if not len(both):
+        return out
+    present = [e for e in embeddings if e is not None]
+    vectors = np.zeros((len(embeddings), len(present[0])))
+    vectors[has] = present
+    step = max(1, GRAM_CHUNK_BYTES // (8 * vectors.shape[1]))
+    for lo in range(0, len(both), step):
+        rows = both[lo : lo + step]
+        # numpy multiplies a stack of (1, d) @ (d, 1) matrices with the dot
+        # kernel np.dot runs on two vectors, so each value has its bytes
+        out[rows] = np.matmul(vectors[a[rows], None, :], vectors[b[rows], :, None])[:, 0, 0]
+    return out
+
+
+def _feature_columns(
     sigs: Sequence[Signature],
     a: np.ndarray,
     b: np.ndarray,
     dataset: Dataset,
     counts: NameCountsTable,
+    dense: bool,
 ):
     """Yield (feature name, column) for every feature of the pairs
-    (``sigs[a[i]]``, ``sigs[b[i]]``) of distinct signatures ``sigs``,
-    computed column-wise with the bytes of _compute_features.
+    (``sigs[a[i]]``, ``sigs[b[i]]``) of distinct signatures ``sigs``.
 
-    Each signature's profile is built once, reduced to gram ids and scalars,
-    and dropped. Each set family's intersection counts come from one Gram
-    product over the signatures, the name kernels run once per distinct
-    ordered (first, middle) name pair, and only the embedding dot product
-    stays per pair.
+    Each signature's profile is built once and reduced to scalars. When
+    ``dense``, it is also reduced to gram ids and dropped, and each set
+    family's intersection counts come from one Gram product over the
+    signatures; otherwise the profiles stay for ProfileIndex.pair_values.
+    The name kernels run once per distinct ordered (first, middle) name
+    pair.
     """
-    families = {attr: _GramFamily() for _, attr in _SET_FEATURES}
-    names, prefixes, suffixes, languages, papers, embeddings = [], [], [], [], [], []
+    families = {attr: _GramFamily() for _, attr in _SET_FEATURES} if dense else {}
+    profiles: list[SignatureProfile] = []
+    names, prefixes, suffixes, languages, papers, refs, embeddings = ([] for _ in range(7))
     years, positions, abstracts = [], [], []
     name_counts: dict[str, list] = {key: [] for key in _COUNT_GETTERS}
     for sig in sigs:
         prof = SignatureProfile(sig, dataset)
         for attr, family in families.items():
             family.add(getattr(prof, attr))
+        if not dense:
+            profiles.append(prof)
         names.append((prof.name.first, prof.name.middle))
         prefixes.append(prof.email_prefix)
         suffixes.append(prof.email_suffix)
         languages.append(prof.language)
         papers.append(prof.paper_id)
+        refs.append(prof.ref_ids)
         embeddings.append(prof.embedding)
         years.append(MISSING if prof.year is None else prof.year)
         positions.append(prof.position)
@@ -891,13 +798,28 @@ def _dense_features(
             c = getattr(counts, getter)(prof.count_keys[key])
             name_counts[key].append(MISSING if c is None else c)
 
-    for feature, attr in _SET_FEATURES:
-        yield feature, families[attr].jaccard(a, b)
-    refs = families["ref_ids"]
-    cited = np.array([refs.vocab.get(p, -1) for p in papers], dtype=np.int64)
-    yield "cite_each_other", (refs.holds(b, cited[a]) | refs.holds(a, cited[b])).astype(
-        np.float64
-    )
+    if dense:
+        for feature, attr in _SET_FEATURES:
+            yield feature, families[attr].jaccard(a, b)
+    else:
+        index = ProfileIndex()
+        overlaps = np.array(
+            [index.pair_values(profiles[j], profiles[k]) for j, k in zip(a.tolist(), b.tolist())],
+            dtype=np.float64,
+        )
+        for j, (feature, _) in enumerate(_SET_FEATURES):
+            yield feature, overlaps[:, j]
+
+    paper, distinct = _intern(papers)
+    span = len(distinct)
+    paper_id = dict(zip(distinct, range(span)))
+    # slot * span + paper id of every (citing slot, cited paper of the group)
+    cites = [
+        s * span + paper_id[p] for s, cited in enumerate(refs) for p in cited & paper_id.keys()
+    ]
+    a_cites_b = np.isin(a * span + paper[b], cites)
+    b_cites_a = np.isin(b * span + paper[a], cites)
+    yield "cite_each_other", (a_cites_b | b_cites_a).astype(np.float64)
 
     name_ids, distinct = _intern(names)
     code = name_ids[a] * len(distinct) + name_ids[b]
@@ -928,12 +850,7 @@ def _dense_features(
     for feature, key, agg in _COUNT_FEATURES:
         c = np.array(name_counts[key], dtype=np.float64)
         yield feature, (np.minimum if agg is min else np.maximum)(c[a], c[b])
-
-    cosine = np.full(len(a), MISSING)
-    for i, (j, k) in enumerate(zip(a.tolist(), b.tolist())):
-        if embeddings[j] is not None and embeddings[k] is not None:
-            cosine[i] = float(np.dot(embeddings[j], embeddings[k]))
-    yield "embedding_cosine", cosine
+    yield "embedding_cosine", _cosines(embeddings, a, b)
 
 
 def mask_nameless(v: np.ndarray, schema: FeatureSchema) -> np.ndarray:

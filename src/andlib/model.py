@@ -160,7 +160,6 @@ def train_linear(
     X: np.ndarray,
     y: np.ndarray,
     regularization: float = 1e-3,
-    seed: int = 0,
     schema: FeatureSchema | None = None,
 ) -> LinearModel:
     """Fit the logistic baseline by Newton iteration (deterministic)."""
@@ -413,6 +412,15 @@ def save_ensemble(
         fh.write("\n")
 
 
+#: the type each stored cluster_params value needs to make a ClusterParams
+_CLUSTER_PARAM_TYPES = {
+    "linkage": lambda v: isinstance(v, str),
+    "method": lambda v: isinstance(v, str),
+    "eps": lambda v: type(v) in (int, float),  # bool is an int subclass
+    "dbscan_min_samples": lambda v: type(v) is int,
+}
+
+
 def load_ensemble(
     path: str | os.PathLike,
     expected_schema: FeatureSchema | None = None,
@@ -458,10 +466,23 @@ def load_ensemble(
         )
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model member: {exc!r}") from exc
+    cluster_params = doc.get("cluster_params")
+    if cluster_params is not None and not (
+        isinstance(cluster_params, dict)
+        and all(
+            check(cluster_params[key])
+            for key, check in _CLUSTER_PARAM_TYPES.items()
+            if key in cluster_params
+        )
+    ):
+        raise ParseError(
+            f"{path}: cluster_params must be null or an object with a string "
+            "linkage and method, a number eps and an integer dbscan_min_samples"
+        )
     ens = EnsembleClassifier(full_model=full, nameless_model=nameless, schema=schema)
     meta = {
         "hyperparams": doc.get("hyperparams"),
         "seed": doc.get("seed"),
-        "cluster_params": doc.get("cluster_params"),
+        "cluster_params": cluster_params,
     }
     return ens, meta

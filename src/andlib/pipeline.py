@@ -195,9 +195,7 @@ def _train_member(
     nameless: bool,
 ):
     if cfg.classifier == "linear":
-        return model.train_linear(
-            X, y, regularization=cfg.linear_regularization, seed=cfg.seed, schema=schema
-        )
+        return model.train_linear(X, y, regularization=cfg.linear_regularization, schema=schema)
     seed = cfg.seed + (1 if nameless else 0)
     return model.train_gbt(X, y, hp, gbt_constraints(cfg, schema), seed, schema)
 

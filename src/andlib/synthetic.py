@@ -18,6 +18,8 @@ within an author's own cluster.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -61,11 +63,39 @@ class GeneratorConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GeneratorConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        """Refuse unknown names and values of the wrong type or range:
+        integers where the default is one, rates in [0, 1]."""
+        if not isinstance(doc, dict):
+            raise ConfigError("a generator config must be a JSON object")
+        known = {f.name: f.default for f in fields(cls)}
+        unknown = set(doc) - set(known)
         if unknown:
             raise ConfigError(f"unknown generator settings: {sorted(unknown)}")
+        for name, value in doc.items():
+            integer = isinstance(known[name], int)
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            low, high = _SETTING_RANGES.get(name, (0, 1))
+            if not (
+                (is_int or (not integer and isinstance(value, float)))
+                and low <= value <= high
+            ):
+                kind = "an integer" if integer else "a number"
+                bound = f"in [{low}, {high}]" if high == 1 else f">= {low}"
+                raise ConfigError(
+                    f"generator setting {name!r} must be {kind} {bound}, got {value!r}"
+                )
         return cls(**doc)
+
+
+#: the range of each GeneratorConfig value that is not a rate in [0, 1]; a
+#: float must be finite
+_SETTING_RANGES = {
+    "n_authors": (1, math.inf),
+    "community_size": (1, math.inf),
+    "embedding_dim": (0, math.inf),
+    "mean_papers": (1, sys.float_info.max),
+    "embedding_noise": (0, sys.float_info.max),
+}
 
 
 def _word(rng: np.random.Generator, n_syllables: int) -> str:

@@ -2,9 +2,10 @@
 
 Everything here is written straight from the definitions, favoring clarity
 over speed, and deliberately shares no code with the library paths it
-checks. The exceptions are the GBT split-search reference and the per-tree
-prediction loop, which are the library's earlier implementations and reuse
-its tree container and loss helpers.
+checks. The exceptions are the GBT split-search reference, the per-tree
+prediction loop and the per-pair featurizer, which are the library's
+earlier implementations and reuse its tree container, loss helpers,
+signature profiles and string kernels.
 """
 
 from __future__ import annotations
@@ -17,6 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
+from andlib.corpus import NameCountsTable
+from andlib.features import (
+    _COUNT_FEATURES,
+    _COUNT_GETTERS,
+    _NAME_FEATURES,
+    MISSING,
+    SignatureProfile,
+    _name_features,
+    set_jaccard,
+)
 from andlib.gbt import (
     _GAIN_EPS,
     P_EPS,
@@ -669,3 +680,115 @@ def textbook_jaro_winkler(a: str, b: str) -> float:
             break
         ell += 1
     return jaro + ell * 0.1 * (1 - jaro)
+
+
+# ---------------------------------------------------------------------------
+# pair features
+# ---------------------------------------------------------------------------
+
+
+def _equal01(a, b) -> float:
+    if a is None or b is None:
+        return MISSING
+    return 1.0 if a == b else 0.0
+
+
+def reference_pair_features(
+    pa: SignatureProfile,
+    pb: SignatureProfile,
+    counts: NameCountsTable,
+) -> dict[str, float]:
+    """Every feature of one pair, computed pair by pair: the library's
+    earlier per-pair kernel, which featurize_pairs must match byte for
+    byte."""
+    out = dict(
+        zip(
+            _NAME_FEATURES,
+            _name_features(pa.name.first, pa.name.middle, pb.name.first, pb.name.middle),
+        )
+    )
+
+    if pa.affiliation_grams is not None and pb.affiliation_grams is not None:
+        out["affiliation_word_jaccard"] = set_jaccard(
+            pa.affiliation_grams, pb.affiliation_grams
+        )
+    else:
+        out["affiliation_word_jaccard"] = MISSING
+
+    out["email_prefix_equal"] = _equal01(pa.email_prefix, pb.email_prefix)
+    out["email_suffix_equal"] = _equal01(pa.email_suffix, pb.email_suffix)
+
+    out["coauthor_key_jaccard"] = set_jaccard(pa.coauthor_keys, pb.coauthor_keys)
+    out["coauthor_name_jaccard"] = set_jaccard(pa.coauthor_names, pb.coauthor_names)
+    out["coauthor_char_jaccard"] = set_jaccard(pa.coauthor_grams, pb.coauthor_grams)
+
+    out["venue_char_jaccard"] = (
+        set_jaccard(pa.venue_grams, pb.venue_grams)
+        if pa.venue_grams is not None and pb.venue_grams is not None
+        else MISSING
+    )
+    out["journal_char_jaccard"] = (
+        set_jaccard(pa.journal_grams, pb.journal_grams)
+        if pa.journal_grams is not None and pb.journal_grams is not None
+        else MISSING
+    )
+
+    if pa.year is not None and pb.year is not None:
+        out["year_diff"] = float(abs(pa.year - pb.year))
+    else:
+        out["year_diff"] = MISSING
+
+    out["title_word_jaccard"] = (
+        set_jaccard(pa.title_word_g, pb.title_word_g)
+        if pa.title_word_g is not None and pb.title_word_g is not None
+        else MISSING
+    )
+    out["title_char_jaccard"] = (
+        set_jaccard(pa.title_char_g, pb.title_char_g)
+        if pa.title_char_g is not None and pb.title_char_g is not None
+        else MISSING
+    )
+
+    have_refs = bool(pa.ref_ids) and bool(pb.ref_ids)
+    for name, attr in (
+        ("ref_author_char_jaccard", "ref_author_grams"),
+        ("ref_title_char_jaccard", "ref_title_grams"),
+        ("ref_venue_char_jaccard", "ref_venue_grams"),
+        ("ref_key_char_jaccard", "ref_key_grams"),
+    ):
+        out[name] = (
+            set_jaccard(getattr(pa, attr), getattr(pb, attr))
+            if have_refs
+            else MISSING
+        )
+    out["cite_each_other"] = float(
+        pa.paper_id in pb.ref_ids or pb.paper_id in pa.ref_ids
+    )
+    if pa.ref_ids or pb.ref_ids:
+        out["ref_cocitation_jaccard"] = set_jaccard(pa.ref_ids, pb.ref_ids)
+    else:
+        out["ref_cocitation_jaccard"] = MISSING
+
+    out["position_diff"] = float(abs(pa.position - pb.position))
+    out["abstract_count"] = float(pa.has_abstract + pb.has_abstract)
+
+    out["english_count"] = float(
+        (pa.language == "en") + (pb.language == "en")
+    )
+    out["same_language"] = _equal01(pa.language, pb.language)
+    out["language_count"] = float(
+        (pa.language is not None) + (pb.language is not None)
+    )
+
+    for feat, key, agg in _COUNT_FEATURES:
+        getter = getattr(counts, _COUNT_GETTERS[key])
+        ca = getter(pa.count_keys[key])
+        cb = getter(pb.count_keys[key])
+        out[feat] = float(agg(ca, cb)) if ca is not None and cb is not None else MISSING
+
+    if pa.embedding is not None and pb.embedding is not None:
+        out["embedding_cosine"] = float(np.dot(pa.embedding, pb.embedding))
+    else:
+        out["embedding_cosine"] = MISSING
+
+    return out

@@ -464,6 +464,41 @@ class TestTypedErrors:
         )
         self.check(eval_argv(data, tmp_path), 3)
 
+    @pytest.mark.parametrize("dim", ["x", 2.5], ids=["string", "fraction"])
+    def test_embedding_dim_not_an_integer(self, tmp_path, dim):
+        data = tmp_path / "data"
+        write_corpus(data, {"p": {"title": "t",
+                                  "authors": [{"position": 1, "name": "A B"}]}})
+        (data / "embeddings.json").write_text(
+            json.dumps({"dim": dim, "vectors": {"p": [0.5, 0.5]}})
+        )
+        (data / "clusters.json").write_text(json.dumps({"c": ["s"]}))
+        self.check(["eval", "--data", data, "--pred", data / "clusters.json",
+                    "--out", tmp_path / "o"], 3, message="must be an integer")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["first"].update({next(iter(doc["first"])): "x"}),
+        lambda doc: doc.update({"last": sorted(doc["last"])}),
+    ], ids=["count_string", "table_list"])
+    def test_malformed_name_counts(self, corpus_dir, trained_dir, tmp_path, edit):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        doc = json.loads((data / "name_counts.json").read_text())
+        edit(doc)
+        (data / "name_counts.json").write_text(json.dumps(doc))
+        self.check(["cluster", "--data", data, "--out", tmp_path / "o",
+                    "--model", trained_dir / "model.json"], 3, message="integer counts")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_authors": "x"}, "'n_authors'"),
+        ({"community_size": 0}, "'community_size'"),
+    ], ids=["n_authors_string", "community_size_zero"])
+    def test_bad_generator_config(self, tmp_path, doc, message):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(doc))
+        self.check(["synth", "--out", tmp_path / "c", "--config", cfg], 2, message=message)
+        assert not (tmp_path / "c").exists()
+
     def cluster_with_model(self, corpus_dir, trained_dir, tmp_path, edit, timeout=120):
         doc = json.loads((trained_dir / "model.json").read_text())
         edit(doc)
@@ -501,6 +536,14 @@ class TestTypedErrors:
                            "bias": 0.0, "medians": [0.0] * n}
 
         self.cluster_with_model(corpus_dir, trained_dir, tmp_path, nan_linear)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["cluster_params"].update({"eps": "x"}),
+        lambda doc: doc["cluster_params"].update({"dbscan_min_samples": "x"}),
+        lambda doc: doc.update({"cluster_params": [1]}),
+    ], ids=["eps_string", "min_samples_string", "params_list"])
+    def test_model_with_mistyped_cluster_params(self, corpus_dir, trained_dir, tmp_path, edit):
+        self.cluster_with_model(corpus_dir, trained_dir, tmp_path, edit)
 
     def train_with_splits(self, corpus_dir, fast_config, tmp_path, splits):
         data = tmp_path / "data"

@@ -17,7 +17,6 @@ from andlib.features import (
     FeatureSchema,
     FeatureSpec,
     SignatureProfile,
-    _compute_features,
     char_grams,
     default_schema,
     featurize_pair,
@@ -31,7 +30,12 @@ from andlib.features import (
     set_jaccard,
     word_grams,
 )
-from oracles import brute_force_lcs_length, recursive_levenshtein, textbook_jaro_winkler
+from oracles import (
+    brute_force_lcs_length,
+    recursive_levenshtein,
+    reference_pair_features,
+    textbook_jaro_winkler,
+)
 
 short_text = st.text(alphabet="abcdxy", max_size=6)
 
@@ -294,7 +298,7 @@ def block_pairs(dataset):
 
 
 def oracle_features(sigs, a, b, dataset, counts, schema):
-    """_compute_features row by row, the reference for featurize_pairs."""
+    """reference_pair_features row by row, the reference for featurize_pairs."""
     profiles = {}
 
     def profile(sig):
@@ -304,7 +308,7 @@ def oracle_features(sigs, a, b, dataset, counts, schema):
 
     rows = []
     for i, j in zip(a, b):
-        values = _compute_features(profile(sigs[i]), profile(sigs[j]), counts)
+        values = reference_pair_features(profile(sigs[i]), profile(sigs[j]), counts)
         rows.append([values[name] for name in schema.names])
     return np.array(rows, dtype=np.float64).reshape(len(a), len(schema))
 

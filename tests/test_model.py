@@ -33,6 +33,7 @@ from andlib.model import (
 from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
 from oracles import (
     reference_fit_boosted_trees,
+    reference_pair_features,
     reference_raw_score,
     reference_tree_predict,
 )
@@ -507,8 +508,8 @@ class TestSamplePairs:
 
 def nested_loop_sample(ds, split, cap, seed, counts, schema, source=None):
     """sample_pairs as a nested loop over each block's members, featurized
-    pair by pair with _compute_features."""
-    from andlib.features import SignatureProfile, _compute_features
+    pair by pair with reference_pair_features."""
+    from andlib.features import SignatureProfile
 
     candidates = []
     for block in build_blocks(ds):
@@ -523,7 +524,7 @@ def nested_loop_sample(ds, split, cap, seed, counts, schema, source=None):
     feat = source if source is not None else ds
     rows = []
     for a, b in chosen:
-        values = _compute_features(
+        values = reference_pair_features(
             SignatureProfile(feat.signatures[a], feat),
             SignatureProfile(feat.signatures[b], feat),
             counts,
