@@ -250,9 +250,15 @@ def _parse_signature(raw: dict) -> Signature:
 def load_partition(path: str | os.PathLike) -> Partition:
     """Read a clusters.json file (map cluster_id -> [signature_id])."""
     raw = _load_json(path, check_duplicates=True)
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected an object of clusters")
     assignment: dict[str, str] = {}
     for cid, members in raw.items():
+        if not isinstance(members, list):
+            raise ParseError(f"{path}: cluster {cid!r} must be an array of signature ids")
         for sig_id in members:
+            if not isinstance(sig_id, str):
+                raise ParseError(f"{path}: cluster {cid!r} holds a non-string id {sig_id!r}")
             if sig_id in assignment:
                 raise IntegrityError(f"signature {sig_id!r} in more than one cluster")
             assignment[sig_id] = cid

@@ -5,11 +5,29 @@ Second-order boosting on the logistic loss. Trees are grown leaf-wise
 optionally thinned to ``max_bins`` candidate cuts.
 
 Split search is presorted, as in SLIQ and XGBoost's exact mode: each column
-is argsorted once per fit and filtered to a tree's sampled rows and features;
-a split partitions its node's sorted row ids stably between the children, so
-no node sorts. A node reads values and gradients through its order, takes
-prefix sums, and scores a flat list of only the real cuts (between distinct
-present values) in (feature, cut) order, for both missing-value directions.
+is argsorted once per fit and cut down to a tree's sampled rows and features.
+A node holds, for each of its live features, the row ids in sorted order and
+the values read through them; a split compresses both arrays with one mask
+into each child, so no node sorts or gathers values. A node takes prefix
+sums of the gradients read through its order and scores a flat list of only
+the real cuts (between distinct present values) in (feature, cut) order.
+Every cut is scored with the missing rows sent left; a cut of a feature that
+has missing rows at the node is scored again with them sent right (without
+them the two directions score alike, and the tie-break takes the left).
+
+A feature with no cut at a node - all its present values equal, or none
+present - has none in any subset of the node's rows, so the node drops it
+and its subtree never reads it again. Dropping keeps the features' order,
+so the (feature, direction, cut) tie-break does not change. The missing-value
+sums are the one place that stays at the tree's full feature width: they
+are matrix-vector products with ``isnan(X[:, feats])``, and BLAS may round a
+column's sum differently in a matrix with fewer columns.
+
+After each round the sampled rows take their leaf values from the grown
+partition, which routes by the same rule as prediction, and only the rows
+left out by ``row_subsample`` walk the tree; both add ``learning_rate *
+value`` to the raw score. A fit therefore makes the trees, to the bit, of
+the padded-grid search kept in ``tests/oracles.py``.
 
 Missing values are never imputed: split search runs over present values
 only, and each node learns a default direction for missing rows (whichever
@@ -334,10 +352,14 @@ def _value_loss(G, H, w, l2: float, l1: float):
     return G * w + 0.5 * den * w * w + l1 * np.abs(w)
 
 
-@dataclass
+@dataclass(eq=False)  # nodes compare by identity
 class _Node:
-    rows: np.ndarray | None  # ascending row ids; dropped once the node is split
-    order: np.ndarray | None  # (features, rows): each feature's row ids, sorted
+    # ``rows`` are kept by leaves for the in-sample update of the raw scores;
+    # the three per-feature arrays only while the node may still be split
+    rows: np.ndarray | None  # ascending row ids
+    slots: np.ndarray | None  # positions in the tree's feature list that may still cut
+    order: np.ndarray | None  # (slots, rows): each live feature's row ids, sorted
+    vals: np.ndarray | None  # (slots, rows): the values ``X[order, feature]``
     depth: int
     lo: float
     hi: float
@@ -352,18 +374,30 @@ def _node_value(g_sum: float, h_sum: float, lo: float, hi: float, hp: HyperParam
     return min(max(w, lo), hi)
 
 
-def _best_split(X, missing, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict | None:
+def _clip(w: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``np.clip(w, lo, hi)`` to the bit, without its wrapper's overhead. The
+    bound goes first: with it second, ``-0.0`` clipped at a bound of ``0.0``
+    (or the reverse) would come back with the bound's sign."""
+    return np.minimum(hi, np.maximum(lo, w))
+
+
+def _best_split(miss_t, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict | None:
     """Evaluate every candidate (feature, cut, missing-direction) at once.
 
-    ``missing`` is ``np.isnan(X)``, computed once per fit. ``node.order``
-    holds each feature's row ids already sorted (NaNs last), so prefix sums
-    over the gradients read through it give left-side statistics for every
-    cut of every feature in a single pass. Only real cuts - between
-    distinct present values, after ``max_bins`` thinning - are scored: they
-    form one flat candidate list in (feature, cut) order, evaluated for both
-    missing-value directions as a (2, K) array.
+    ``node.order`` and ``node.vals`` hold each live feature's row ids and
+    values, already sorted (NaNs last), so prefix sums over the gradients
+    read through ``order`` give left-side statistics for every cut of every
+    feature in a single pass. Only real cuts - between distinct present
+    values, after ``max_bins`` thinning - are scored: they form one flat
+    candidate list in (feature, cut) order with the missing rows sent left,
+    followed by the cuts of features with missing rows sending them right.
+    Features without a cut are dropped from the node here, so neither its
+    prefix sums nor its children carry them.
+
+    ``miss_t`` is ``np.isnan(X[:, feats])``, taken once per tree; the
+    missing-value sums are taken over all of its columns, whatever is live.
     """
-    rows, order = node.rows, node.order
+    rows = node.rows
     m = rows.size
     if m < 2:
         return None
@@ -372,27 +406,26 @@ def _best_split(X, missing, g, h, node: _Node, feats, cvec, hp: HyperParams) -> 
     G_all = float(g_node.sum())
     H_all = float(h_node.sum())
     l2, l1 = hp.l2_regularization, hp.l1_regularization
-    parent_loss = float(_value_loss(G_all, H_all, node.value, l2, l1))
-
-    sorted_vals = X[order, feats[:, None]]  # (F, m)
-    g_s = np.cumsum(g[order], axis=1)
-    h_s = np.cumsum(h[order], axis=1)
-    miss_mask = missing[rows][:, feats]
-    n_miss = miss_mask.sum(axis=0)  # (F,)
-    # exact per-column missing sums: a feature with no missing rows must tie
-    # the two routing directions exactly, so the default is deterministic
-    G_m = g_node @ miss_mask
-    H_m = h_node @ miss_mask
+    v = node.value  # _value_loss in Python floats, operation for operation
+    parent_loss = G_all * v + 0.5 * max(H_all + l2, _DEN_FLOOR) * v * v + l1 * abs(v)
 
     # cut k splits sorted rows [0..k] / [k+1..]; valid only between distinct
-    # present values
-    nxt = sorted_vals[:, 1:]
-    with np.errstate(invalid="ignore"):
-        can_cut = (nxt != sorted_vals[:, :-1]) & ~np.isnan(nxt)
+    # present values, which in ascending order with NaNs last is exactly
+    # where a value is below the next one
+    vals = node.vals
+    can_cut = vals[:, :-1] < vals[:, 1:]
+    totals = can_cut.sum(axis=1)
+    live = totals > 0
+    if not live.any():
+        return None
+    if not live.all():
+        # a subset of these rows has no cut on these features either
+        node.slots, node.order, node.vals = node.slots[live], node.order[live], vals[live]
+        can_cut, totals, vals = can_cut[live], totals[live], node.vals
+    slots, order = node.slots, node.order
     # thin to ~max_bins evenly spaced cuts per feature (rank-based, so
     # features with few distinct values keep all their cuts)
     max_cuts = max(1, hp.max_bins - 1)
-    totals = can_cut.sum(axis=1)
     crowded = np.nonzero(totals > max_cuts)[0]
     if crowded.size:
         ranks = np.cumsum(can_cut[crowded], axis=1)
@@ -400,102 +433,125 @@ def _best_split(X, missing, g, h, node: _Node, feats, cvec, hp: HyperParams) -> 
         keep = (ranks * max_cuts) // total != ((ranks - 1) * max_cuts) // total
         can_cut[crowded] &= keep
     fi, cut = np.nonzero(can_cut)  # candidates in (feature, cut) order
-    if fi.size == 0:
-        return None
 
-    GLp = g_s[fi, cut]  # prefix sums at each cut
-    HLp = h_s[fi, cut]
-    nLp = cut + 1
+    # per-column missing sums, over the tree's full feature list and then
+    # indexed: BLAS may round a column's sum differently in a matrix of fewer
+    # columns. A column without missing rows sums to exactly zero.
+    miss_mask = miss_t[rows]
+    n_miss = miss_mask.sum(axis=0)[slots]
+    G_m = (g_node @ miss_mask)[slots]
+    H_m = (h_node @ miss_mask)[slots]
 
-    # axis 0: missing goes left / right
-    GL = np.stack([GLp + G_m[fi], GLp])
-    HL = np.stack([HLp + H_m[fi], HLp])
-    nL = np.stack([nLp + n_miss[fi], nLp])
-    GR = G_all - GL
-    HR = H_all - HL
-    nR = m - nL
+    # candidates: every cut with the missing rows sent left (direction 0),
+    # then the cuts of features with missing rows here, sending them right
+    # (direction 1). Without missing rows the two directions score alike,
+    # and the tie-break would take direction 0.
+    K = fi.size
+    both = np.nonzero(n_miss[fi] > 0)[0]
+    if both.size:
+        fi, cut = np.concatenate([fi, fi[both]]), np.concatenate([cut, cut[both]])
+    # axis 0: the left child, then the right one
+    G = np.empty((2, fi.size))
+    H = np.empty((2, fi.size))
+    N = np.empty((2, fi.size), dtype=np.intp)
+    G[0] = np.cumsum(g[order], axis=1)[fi, cut]  # prefix sums at each cut
+    H[0] = np.cumsum(h[order], axis=1)[fi, cut]
+    N[0] = cut + 1
+    G[0, :K] += G_m[fi[:K]]
+    H[0, :K] += H_m[fi[:K]]
+    N[0, :K] += n_miss[fi[:K]]
+    np.subtract(G_all, G[0], out=G[1])
+    np.subtract(H_all, H[0], out=H[1])
+    np.subtract(m, N[0], out=N[1])
 
-    wL = np.clip(_optimal_value(GL, HL, l2, l1), node.lo, node.hi)
-    wR = np.clip(_optimal_value(GR, HR, l2, l1), node.lo, node.hi)
-    msl, mcw = hp.min_samples_leaf, hp.min_child_weight
-    valid = (nL >= msl) & (nR >= msl) & (HL >= mcw) & (HR >= mcw)
-    c = cvec[feats[fi]]
+    w = _clip(_optimal_value(G, H, l2, l1), node.lo, node.hi)
+    valid = ((N >= hp.min_samples_leaf) & (H >= hp.min_child_weight)).all(axis=0)
+    c = cvec[feats[slots[fi]]]
     constrained = c != 0.0
     if constrained.any():
-        valid &= (c * (wR - wL) >= 0.0) | ~constrained
+        valid &= (c * (w[1] - w[0]) >= 0.0) | ~constrained
     if not valid.any():
         return None
 
-    gain = parent_loss - (_value_loss(GL, HL, wL, l2, l1) + _value_loss(GR, HR, wR, l2, l1))
-    gain = np.where(valid, gain, -np.inf)
+    loss = _value_loss(G, H, w, l2, l1)
+    gain = np.where(valid, parent_loss - (loss[0] + loss[1]), -np.inf)
     best_gain = float(gain.max())
     if best_gain <= max(hp.min_split_gain, 0.0) + _GAIN_EPS:
         return None
     # first best in (feature, direction, cut) order for deterministic
-    # tie-breaks; nonzero lists hits direction-major, cuts ascending
-    d_hit, k_hit = np.nonzero(gain == best_gain)
-    i = int(np.argmin(2 * fi[k_hit] + d_hit))
-    d, k = int(d_hit[i]), int(k_hit[i])
-    lo_v = float(sorted_vals[fi[k], cut[k]])
-    hi_v = float(sorted_vals[fi[k], cut[k] + 1])
+    # tie-breaks; hits are listed direction-major, cuts ascending
+    hits = np.nonzero(gain == best_gain)[0]
+    k = int(hits[np.argmin(2 * fi[hits] + (hits >= K))])
+    lo_v = float(vals[fi[k], cut[k]])
+    hi_v = float(vals[fi[k], cut[k] + 1])
     thr = (lo_v + hi_v) / 2.0
-    if thr >= hi_v:  # adjacent floats rounded up; keep routing exact
+    # adjacent floats rounded up, or -inf and +inf averaged to NaN: cut at
+    # the lower value, so rows route as the cut's statistics assumed
+    if not thr < hi_v:
         thr = lo_v
     return {
-        "feature": int(feats[fi[k]]),
+        "feature": int(feats[slots[fi[k]]]),
         "threshold": thr,
-        "default_left": d == 0,
+        "default_left": k < K,
         "gain": best_gain,
-        "wL": float(wL[d, k]),
-        "wR": float(wR[d, k]),
+        "wL": float(w[0, k]),
+        "wR": float(w[1, k]),
     }
 
 
-def _keep_sorted(order: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Each feature's sorted row ids, stably filtered to ``rows`` (of ``n``)."""
-    member = np.zeros(n, dtype=bool)
-    member[rows] = True
-    return order[member[order]].reshape(len(order), rows.size)
+def _compress(keep: np.ndarray, order: np.ndarray, vals: np.ndarray):
+    """``order`` and ``vals`` cut down to the cells where ``keep`` is set,
+    the same number in each feature's row, so each row stays sorted. (A
+    flat take: numpy's 2-D boolean indexing took 4-5x longer here.)"""
+    at = np.flatnonzero(keep)
+    return order.take(at).reshape(len(order), -1), vals.take(at).reshape(len(order), -1)
 
 
-def _split_rows(X, node: _Node, split) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each child's ``(rows, order)``: the parent's, partitioned stably."""
+def _split_rows(X, node: _Node, split) -> list[tuple]:
+    """Each child's ``(rows, slots, order, vals)``: the parent's arrays,
+    compressed by one mask."""
     rows = node.rows
     col = X[rows, split["feature"]]
     go_left = col <= split["threshold"]
     if split["default_left"]:
         go_left |= np.isnan(col)
+    left = np.zeros(X.shape[0], dtype=bool)
+    left[rows[go_left]] = True
+    mask = left[node.order]
     return [
-        (part, _keep_sorted(node.order, part, X.shape[0]))
-        for part in (rows[go_left], rows[~go_left])
+        (rows[go_left], node.slots, *_compress(mask, node.order, node.vals)),
+        (rows[~go_left], node.slots, *_compress(~mask, node.order, node.vals)),
     ]
 
 
-def _grow_tree(X, missing, g, h, rows, order, feats, cvec, hp: HyperParams) -> Tree:
-    """Grow one tree leaf-wise over ``rows``, with ``order`` presorted."""
+def _grow_tree(X, miss_t, g, h, rows, order, vals, feats, cvec, hp: HyperParams):
+    """Grow one tree leaf-wise over ``rows``, with ``order`` and ``vals``
+    presorted for ``feats``; returns the tree and its leaves."""
     G, H = float(g[rows].sum()), float(h[rows].sum())
     value = _node_value(G, H, -np.inf, np.inf, hp)
-    root = _Node(rows, order, depth=0, lo=-np.inf, hi=np.inf, value=value)
+    slots = np.arange(len(feats))
+    root = _Node(rows, slots, order, vals, depth=0, lo=-np.inf, hi=np.inf, value=value)
     counter = 0
     heap: list[tuple[float, int, _Node]] = []
+    leaves = [root]
 
     def consider(node: _Node) -> None:
         nonlocal counter
-        if node.depth >= hp.max_depth or node.rows.size < 2 * hp.min_samples_leaf:
+        if node.depth < hp.max_depth and node.rows.size >= 2 * hp.min_samples_leaf:
+            node.split = _best_split(miss_t, g, h, node, feats, cvec, hp)
+        if node.split is None:  # a leaf for good: it needs only its rows
+            node.slots = node.order = node.vals = None
             return
-        split = _best_split(X, missing, g, h, node, feats, cvec, hp)
-        if split is not None:
-            node.split = split
-            heapq.heappush(heap, (-split["gain"], counter, node))
-            counter += 1
+        heapq.heappush(heap, (-node.split["gain"], counter, node))
+        counter += 1
 
     consider(root)
-    n_leaves = 1
-    while heap and n_leaves < hp.max_leaves:
+    while heap and len(leaves) < hp.max_leaves:
         _, _, node = heapq.heappop(heap)
         split = node.split
-        (rows_l, order_l), (rows_r, order_r) = _split_rows(X, node, split)
-        node.rows = node.order = None
+        parts = _split_rows(X, node, split)
+        node.rows = node.slots = node.order = node.vals = None
+        leaves.remove(node)
         # a constrained split caps each child's values at the children's midpoint
         c, mid = cvec[split["feature"]], (split["wL"] + split["wR"]) / 2.0
         lb_l, ub_l, lb_r, ub_r = node.lo, node.hi, node.lo, node.hi
@@ -504,13 +560,13 @@ def _grow_tree(X, missing, g, h, rows, order, feats, cvec, hp: HyperParams) -> T
         elif c < 0:
             lb_l = ub_r = mid
         depth = node.depth + 1
-        node.left_child = _Node(rows_l, order_l, depth, lb_l, ub_l, split["wL"])
-        node.right_child = _Node(rows_r, order_r, depth, lb_r, ub_r, split["wR"])
-        n_leaves += 1
+        node.left_child = _Node(*parts[0], depth, lb_l, ub_l, split["wL"])
+        node.right_child = _Node(*parts[1], depth, lb_r, ub_r, split["wR"])
+        leaves += [node.left_child, node.right_child]
         consider(node.left_child)
         consider(node.right_child)
 
-    return _pack_tree(root)
+    return _pack_tree(root), leaves
 
 
 def _pack_tree(root: _Node) -> Tree:
@@ -580,6 +636,7 @@ def fit_boosted_trees(
     base_score = float(np.log(p0 / (1.0 - p0)))
     raw = np.full(n, base_score, dtype=np.float64)
     trees: list[Tree] = []
+    step = np.empty(n, dtype=np.float64)
 
     for _ in range(hp.n_trees):
         p = np.clip(sigmoid(raw), P_EPS, 1.0 - P_EPS)
@@ -595,10 +652,23 @@ def fit_boosted_trees(
             feats = np.sort(rng.permutation(n_feat)[:kf])
         else:
             feats = np.arange(n_feat)
-        order = _keep_sorted(presorted[feats], rows, n)
-        tree = _grow_tree(X, missing, g, h, rows, order, feats, cvec, hp)
+        order = presorted[feats]
+        if rows.size < n:
+            member = np.zeros(n, dtype=bool)
+            member[rows] = True
+            order = order.take(np.flatnonzero(member[order])).reshape(len(feats), -1)
+        vals = X[order, feats[:, None]]  # once per tree; nodes compress it
+        tree, leaves = _grow_tree(
+            X, missing[:, feats], g, h, rows, order, vals, feats, cvec, hp
+        )
         trees.append(tree)
-        raw += hp.learning_rate * tree.predict(X)
+        # sampled rows take their leaf from the partition; the rest walk the tree
+        for leaf in leaves:
+            step[leaf.rows] = leaf.value
+        if rows.size < n:
+            rest = np.nonzero(~member)[0]
+            step[rest] = tree.predict(X[rest])
+        raw += hp.learning_rate * step
 
     return TreeEnsembleModel(
         trees=trees,

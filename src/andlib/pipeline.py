@@ -200,6 +200,30 @@ def _train_member(
     return model.train_gbt(X, y, hp, gbt_constraints(cfg, schema), seed, schema)
 
 
+def _train_members(
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: RunConfig,
+    hp: HyperParams | None,
+    schema: FeatureSchema,
+):
+    """The full member and the nameless one (None when it is off). With
+    ``cfg.jobs`` >= 2 one worker process fits the nameless member while this
+    process fits the full one; each fit is deterministic, so the members
+    are the same either way."""
+    full = (X, y, cfg, hp, schema, False)
+    if not cfg.use_nameless:
+        return _train_member(*full), None
+    nameless = (mask_nameless(X, schema), y, cfg, hp, schema, True)
+    if cfg.jobs < 2:
+        return _train_member(*full), _train_member(*nameless)
+    import multiprocessing
+
+    with multiprocessing.get_context().Pool(processes=1) as pool:
+        pending = pool.apply_async(_train_member, nameless)
+        return _train_member(*full), pending.get()
+
+
 def sample_train_val(
     dataset: Dataset,
     cfg: RunConfig,
@@ -275,11 +299,7 @@ def train_pipeline(
         else:
             hp = HyperParams.from_doc(cfg.hyperparams) if cfg.hyperparams else HyperParams()
 
-    full = _train_member(X, y, cfg, hp, schema, nameless=False)
-    nameless = None
-    if cfg.use_nameless:
-        masked = mask_nameless(X, schema)
-        nameless = _train_member(masked, y, cfg, hp, schema, nameless=True)
+    full, nameless = _train_members(X, y, cfg, hp, schema)
     ens = EnsembleClassifier(full_model=full, nameless_model=nameless, schema=schema)
 
     yv_int = val.y.astype(int)

@@ -493,7 +493,9 @@ def _ref_best_split(
     lo_v = float(sorted_cols[cut, fi])
     hi_v = float(sorted_cols[cut + 1, fi])
     thr = (lo_v + hi_v) / 2.0
-    if thr >= hi_v:  # adjacent floats rounded up; keep routing exact
+    # adjacent floats rounded up, or -inf and +inf averaged to NaN: cut at
+    # the lower value, so rows route as the cut's statistics assumed
+    if not thr < hi_v:
         thr = lo_v
     return {
         "feature": int(feats[fi]),

@@ -264,6 +264,30 @@ class TestBytePin:
         assert sha256(out / "clusters.json") == self.CLUSTERS_SHA256
 
 
+class TestTrainJobs:
+    def test_nameless_member_in_a_worker_gives_the_same_model(
+        self, corpus_dir, fast_config, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        contexts = []
+        real = multiprocessing.get_context
+
+        def counting(*args):
+            contexts.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(multiprocessing, "get_context", counting)
+        models = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(["train", "--data", corpus_dir, "--out", out, "--seed", 2,
+                        "--config", fast_config, "--jobs", jobs]) == 0
+            models.append((out / "model.json").read_bytes())
+            assert len(contexts) == jobs - 1  # --jobs 1 starts no process
+        assert models[0] == models[1]
+
+
 @pytest.fixture()
 def empty_counts(tmp_path):
     path = tmp_path / "empty_counts.json"
@@ -462,7 +486,25 @@ class TestTypedErrors:
         (data / "embeddings.json").write_text(
             json.dumps({"dim": 2, "vectors": {"p": [0.5, "x"]}})
         )
-        self.check(eval_argv(data, tmp_path), 3)
+        (data / "clusters.json").write_text(json.dumps({"c": ["s"]}))
+        self.check(["eval", "--data", data, "--pred", data / "clusters.json",
+                    "--out", tmp_path / "o"], 3, message="is not a list of numbers")
+
+    @pytest.mark.parametrize("doc, message", [
+        (["s"], "expected an object of clusters"),
+        ({"c": 5}, "must be an array of signature ids"),
+        ({"c": "s"}, "must be an array of signature ids"),
+        ({"c": [5]}, "non-string id"),
+    ], ids=["top_level_list", "members_number", "members_string", "id_number"])
+    def test_malformed_clusters(self, tmp_path, doc, message):
+        data = tmp_path / "data"
+        write_corpus(data, {"p": {"title": "t",
+                                  "authors": [{"position": 1, "name": "A B"}]}})
+        (data / "clusters.json").write_text(json.dumps({"c": ["s"]}))
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(doc))
+        self.check(["eval", "--data", data, "--pred", pred, "--out", tmp_path / "o"],
+                   3, message=message)
 
     @pytest.mark.parametrize("dim", ["x", 2.5], ids=["string", "fraction"])
     def test_embedding_dim_not_an_integer(self, tmp_path, dim):
