@@ -20,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import blocking
+from . import blocking, features
 from .blocking import Block
 from .corpus import Dataset, NameCountsTable, Partition
 from .errors import ConfigError
-from .features import FeatureSchema, featurize_pairs
+from .features import FeatureSchema
 from .model import EnsembleClassifier
 
 LINKAGES = ("average", "single", "complete", "ward")
@@ -137,13 +137,15 @@ def distance_matrices(
     """Pairwise not-same-author distances for each block, in order.
 
     Features are built one block at a time, so only one block's signature
-    profiles are alive at once; the ensemble then scores a whole group of
-    blocks in one call.
+    profiles are alive at once, against one PaperGrams table for the whole
+    call, so each cited paper is n-grammed once; the ensemble then scores a
+    whole group of blocks in one call.
     """
     classifier.check_hash(schema)
+    grams = features.PaperGrams(dataset)
     out: list[DistanceMatrix] = []
     for group in _score_groups(blocks):
-        X = np.concatenate([_block_features(b, dataset, counts, schema) for b in group])
+        X = np.concatenate([_block_features(b, dataset, counts, schema, grams) for b in group])
         p = classifier.predict_from_features(X)
         bounds = np.cumsum([_n_pairs(b) for b in group])[:-1]
         for block, p_block in zip(group, np.split(p, bounds)):
@@ -152,12 +154,16 @@ def distance_matrices(
 
 
 def _block_features(
-    block: Block, dataset: Dataset, counts: NameCountsTable, schema: FeatureSchema
+    block: Block,
+    dataset: Dataset,
+    counts: NameCountsTable,
+    schema: FeatureSchema,
+    grams: features.PaperGrams,
 ) -> np.ndarray:
     """Features of one block's ``triu_indices(n, k=1)`` pairs."""
     sigs = [dataset.signatures[m] for m in block.members]
     a, b = np.triu_indices(len(sigs), k=1)
-    return featurize_pairs(sigs, a, b, dataset, counts, schema)
+    return features.featurize_pairs(sigs, a, b, dataset, counts, schema, grams)
 
 
 # ---------------------------------------------------------------------------

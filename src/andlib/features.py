@@ -15,12 +15,14 @@ own name surface form (co-author names are kept).
 
 featurize_pairs is the one path from signature pairs to a feature matrix.
 It takes pairs as two index arrays into a signature list, treats each call
-as one group, and builds that group's signature profiles for the call only;
-the module keeps no state between calls. Every feature is computed
-column-wise over the group's distinct signatures. Only the 13 set-overlap
-Jaccards have two kernels: a dense group gets each family from one Gram
-product of 0/1 gram indicators, a sparse one from set intersections pair by
-pair. Both give the same bytes as the per-pair reference in the tests.
+as one group, and builds that group's signature profiles for the call only.
+Every feature is computed column-wise over the group's distinct signatures.
+The 13 set-valued fields of a profile are integer gram ids, and every
+set-overlap Jaccard comes from Gram products of 0/1 indicators over them.
+A PaperGrams table, which the scoring call that owns it passes to each
+featurize_pairs call, n-grams each cited paper once; the module keeps no
+state between calls. The bytes equal those of the string-set reference in
+the tests, whatever the string hash seed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -149,12 +152,21 @@ def prefix_distance(a: str, b: str) -> float:
 
 
 def char_grams(text: str, lo: int, hi: int) -> frozenset[str]:
-    """Union of contiguous character n-grams for n in [lo, hi], lowercased."""
-    s = text.lower()
-    grams: set[str] = set()
-    for n in range(lo, hi + 1):
-        grams.update(s[i : i + n] for i in range(len(s) - n + 1))
-    return frozenset(grams)
+    """Union of contiguous character n-grams for n in [lo, hi], lo >= 1,
+    lowercased."""
+    return frozenset(_substrings(text.lower(), lo, hi))
+
+
+def _substrings(s: str, lo: int, hi: int) -> set[str]:
+    """Union of contiguous substrings of s of length lo >= 1 to hi."""
+    level = list(s)  # the substrings of length n, by start
+    grams: set[str] = set(level) if lo <= 1 <= hi else set()
+    for n in range(2, hi + 1):
+        # each substring grown by the character after it, all in C
+        level = list(map(operator.add, level, s[n - 1 :]))
+        if n >= lo:
+            grams.update(level)
+    return grams
 
 
 def word_grams(text: str, lo: int, hi: int) -> frozenset[str]:
@@ -322,15 +334,146 @@ def default_schema() -> FeatureSchema:
 
 
 # ---------------------------------------------------------------------------
+# gram ids
+# ---------------------------------------------------------------------------
+
+
+def _author_key(folded: str) -> str:
+    """First initial and last token of a folded author name."""
+    parts = folded.split()
+    return f"{parts[0][0] if len(parts) > 1 else blocking.EMPTY_INITIAL} {parts[-1]}"
+
+
+#: (n, k) of every n-gram, n in 2..4, that holds a joining space at its
+#: offset k, and its slice of the 7 characters around that space
+_CROSSING = tuple((n, k) for n in (2, 3, 4) for k in range(n))
+_WINDOW = tuple(slice(3 - k, 3 - k + n) for n, k in _CROSSING)
+
+
+class Vocabulary:
+    """Integer ids for strings, in first-seen order: uint16 while the
+    vocabulary holds at most 65,536 strings, int32 after that.
+
+    Ids depend on set iteration order, and so on the string hash seed, but
+    only equal and distinct ids are ever compared, so no result does.
+    """
+
+    def __init__(self):
+        self._ids: dict[str, int] = {}
+
+    def intern(self, values: frozenset[str] | set[str]) -> np.ndarray:
+        """The ids of a set of strings, in its iteration order; a string seen
+        for the first time gets the next id."""
+        ids = self._ids
+        new = values.difference(ids)
+        if new:
+            ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+        # the smallest type that holds every id yet given out
+        dtype = np.uint16 if len(ids) <= 1 << 16 else np.int32
+        return np.fromiter(map(ids.__getitem__, values), dtype=dtype, count=len(values))
+
+
+class PaperGrams:
+    """The reference n-grams of one scoring call.
+
+    Each cited paper's four reference texts are folded and n-grammed once,
+    on the first request, into ids of the table's Vocabulary: the join of
+    its author names, its title, the join of its venue and journal, and the
+    join of its author keys. A scoring call (cluster.distance_matrices,
+    model.sample_pairs) owns one table and passes it to each featurize_pairs
+    call; ids mean nothing outside the table that gave them.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self.papers = dataset.papers
+        self.vocab = Vocabulary()
+        self._cited: dict[str, tuple] = {}
+
+    def references(self, ref_ids: frozenset[str]) -> list[list[np.ndarray]]:
+        """The four ref_* families of a paper citing ``ref_ids``, each as id
+        arrays whose union is its set.
+
+        Each set is char_grams(" ".join(texts), 2, 4) over the texts of the
+        cited papers in id order (a cited paper missing from the corpus adds
+        nothing): each text's own grams, plus the grams that cross a joining
+        space. For a space at index p of the lowered join J, those are
+        J[i:i+n] for n in 2..4 and p-n+1 <= i <= p, clipped to J. Lowercasing
+        a text alone gives its part of the lowered join, because str.lower's
+        one context rule (final sigma) never looks past a space.
+        """
+        cited = [self._texts(rid) for rid in sorted(ref_ids) if rid in self.papers]
+        out = []
+        for t in range(4):
+            parts = [(edges[t], ids[ends[t] : ends[t + 1]]) for edges, ids, ends in cited if edges[t]]
+            family = [ids for _, ids in parts]
+            if len(parts) > 1:
+                joined = " ".join(edge for edge, _ in parts)
+                end = len(joined)
+                # the index of each joining space
+                spaces = [q - 1 for q in itertools.accumulate(len(e) + 1 for e, _ in parts[:-1])]
+                if 3 <= spaces[0] and spaces[-1] <= end - 4:
+                    # every space has 3 characters on either side
+                    windows = [joined[p - 3 : p + 4] for p in spaces]
+                    crossing = {w[cut] for w in windows for cut in _WINDOW}
+                else:
+                    crossing = {
+                        joined[p - k : p - k + n]
+                        for p in spaces
+                        for n, k in _CROSSING
+                        if k <= p and p - k + n <= end
+                    }
+                family.append(self.vocab.intern(crossing))
+            out.append(family)
+        return out
+
+    def _texts(self, paper_id: str) -> tuple:
+        """A cited paper's four reference texts as (edges, ids, ends): text
+        t's gram ids are ids[ends[t]:ends[t + 1]], and edges[t] is its edge,
+        or "" for an empty text.
+
+        A gram that crosses a joining space reaches at most three characters
+        into the texts on either side, so a lowered text of more than seven
+        characters keeps only its first four and last three as its edge (the
+        fourth is never reached).
+        """
+        entry = self._cited.get(paper_id)
+        if entry is None:
+            paper = self.papers[paper_id]
+            authors = [f for f in map(blocking.fold_text, paper.author_names) if f]
+            venues = [v for v in (paper.venue, paper.journal) if v]
+            lows = [
+                text.lower() if text else ""
+                for text in (
+                    " ".join(authors),
+                    paper.title,
+                    " ".join(venues),
+                    " ".join(map(_author_key, authors)),
+                )
+            ]
+            ids = [self.vocab.intern(_substrings(low, 2, 4)) for low in lows]
+            entry = self._cited[paper_id] = (
+                tuple(low if len(low) <= 7 else low[:4] + low[-3:] for low in lows),
+                np.concatenate(ids),
+                (0, *itertools.accumulate(map(len, ids))),
+            )
+        return entry
+
+
+# ---------------------------------------------------------------------------
 # signature profiles
 # ---------------------------------------------------------------------------
 
 
 class SignatureProfile:
-    """Precomputed per-signature view used by featurize_pairs.
+    """One signature's fields as featurize_pairs reads them.
 
-    Everything string-shaped is normalized and reduced to gram/key sets once
-    so pair featurization is mostly set intersections.
+    Names, emails and languages are normalized once. Each set-valued field
+    (the _SET_FEATURES families) is held as a list of integer id arrays whose
+    union is the set, or None where the field is missing, so the Jaccard
+    kernels never see a string: the ref_* families as ids of the scoring
+    call's PaperGrams, the others as ids of ``vocab``, which lives for one
+    featurize_pairs call. ``ref_ids`` keeps the cited paper ids themselves
+    for cite_each_other.
     """
 
     __slots__ = (
@@ -351,6 +494,7 @@ class SignatureProfile:
         "has_abstract",
         "language",
         "ref_ids",
+        "cited_ids",
         "ref_author_grams",
         "ref_title_grams",
         "ref_venue_grams",
@@ -359,7 +503,7 @@ class SignatureProfile:
         "count_keys",
     )
 
-    def __init__(self, sig: Signature, dataset: Dataset):
+    def __init__(self, sig: Signature, dataset: Dataset, grams: PaperGrams, vocab: Vocabulary):
         paper = dataset.papers.get(sig.paper_id)
         if paper is None:
             raise IntegrityError(
@@ -369,27 +513,16 @@ class SignatureProfile:
         self.name = name = sig.name
 
         coauthors = [
-            raw
+            folded
             for i, raw in enumerate(paper.author_names, start=1)
-            if i != sig.author_position
+            if i != sig.author_position and (folded := blocking.fold_text(raw))
         ]
-        keys: set[str] = set()
-        names: set[str] = set()
-        joined: list[str] = []
-        for raw in coauthors:
-            folded = blocking.fold_text(raw)
-            if not folded:
-                continue
-            parts = folded.split()
-            keys.add(f"{parts[0][0] if len(parts) > 1 else blocking.EMPTY_INITIAL} {parts[-1]}")
-            names.add(folded)
-            joined.append(folded)
-        self.coauthor_keys = frozenset(keys)
-        self.coauthor_names = frozenset(names)
-        self.coauthor_grams = char_grams(" ".join(joined), 2, 4) if joined else frozenset()
+        self.coauthor_keys = [vocab.intern(set(map(_author_key, coauthors)))]
+        self.coauthor_names = [vocab.intern(set(coauthors))]
+        self.coauthor_grams = [vocab.intern(_substrings(" ".join(coauthors), 2, 4))]
 
         self.affiliation_grams = (
-            word_grams(blocking.fold_text(" ".join(sig.affiliations)), 1, 3)
+            [vocab.intern(word_grams(blocking.fold_text(" ".join(sig.affiliations)), 1, 3))]
             if sig.affiliations
             else None
         )
@@ -402,44 +535,27 @@ class SignatureProfile:
         else:
             self.email_prefix = self.email_suffix = None
 
-        self.venue_grams = char_grams(paper.venue, 2, 4) if paper.venue else None
-        self.journal_grams = char_grams(paper.journal, 2, 4) if paper.journal else None
+        self.venue_grams = [vocab.intern(char_grams(paper.venue, 2, 4))] if paper.venue else None
+        self.journal_grams = (
+            [vocab.intern(char_grams(paper.journal, 2, 4))] if paper.journal else None
+        )
         title = paper.title or ""
-        self.title_word_g = word_grams(title, 1, 3) if title else None
-        self.title_char_g = char_grams(title, 2, 4) if title else None
+        self.title_word_g = [vocab.intern(word_grams(title, 1, 3))] if title else None
+        self.title_char_g = [vocab.intern(char_grams(title, 2, 4))] if title else None
         self.year = paper.year
         self.position = sig.author_position
         self.has_abstract = bool(paper.abstract)
         self.language = paper.language.lower() if paper.language else None
 
         self.ref_ids = paper.reference_ids
+        self.cited_ids = [vocab.intern(paper.reference_ids)]
         if paper.reference_ids:
-            authors: list[str] = []
-            titles: list[str] = []
-            venues: list[str] = []
-            ref_keys: list[str] = []
-            for rid in sorted(paper.reference_ids):
-                ref = dataset.papers.get(rid)
-                if ref is None:
-                    continue
-                for raw in ref.author_names:
-                    folded = blocking.fold_text(raw)
-                    if not folded:
-                        continue
-                    authors.append(folded)
-                    parts = folded.split()
-                    initial = parts[0][0] if len(parts) > 1 else blocking.EMPTY_INITIAL
-                    ref_keys.append(f"{initial} {parts[-1]}")
-                if ref.title:
-                    titles.append(ref.title)
-                if ref.venue:
-                    venues.append(ref.venue)
-                if ref.journal:
-                    venues.append(ref.journal)
-            self.ref_author_grams = char_grams(" ".join(authors), 2, 4)
-            self.ref_title_grams = char_grams(" ".join(titles), 2, 4)
-            self.ref_venue_grams = char_grams(" ".join(venues), 2, 4)
-            self.ref_key_grams = char_grams(" ".join(ref_keys), 2, 4)
+            (
+                self.ref_author_grams,
+                self.ref_title_grams,
+                self.ref_venue_grams,
+                self.ref_key_grams,
+            ) = grams.references(paper.reference_ids)
         else:
             self.ref_author_grams = None
             self.ref_title_grams = None
@@ -463,17 +579,80 @@ class SignatureProfile:
 
 
 class ProfileIndex:
-    """The per-pair set overlaps of sparse featurize_pairs calls.
+    """The _SET_FEATURES families of one featurize_pairs call's profiles,
+    and their Jaccards.
 
-    It holds no state. It stays a class with a method, and _compute_features
-    a module function, because perfbench/spans.py times both by patching
-    them by name; both can go once runs write their own stats (ROADMAP
-    item 1).
+    pair_values and _compute_features stay separate names because
+    perfbench/spans.py times both by patching them by name; both can merge
+    once runs write their own stats (ROADMAP item 1).
     """
 
-    def pair_values(self, pa: SignatureProfile, pb: SignatureProfile) -> tuple[float, ...]:
-        """The _SET_FEATURES values of one pair, in that order."""
-        return _compute_features(pa, pb)
+    def __init__(self):
+        self.n = 0  # profiles added
+        # per family: its id arrays, the slot of each, and the presence of
+        # the field in each profile
+        self.arrays: list[list[np.ndarray]] = [[] for _ in _SET_FEATURES]
+        self.slots: list[list[int]] = [[] for _ in _SET_FEATURES]
+        self.present: list[list[bool]] = [[] for _ in _SET_FEATURES]
+
+    def add(self, prof: SignatureProfile) -> None:
+        """Append the next distinct signature's families."""
+        for f, (_, attr) in enumerate(_SET_FEATURES):
+            family = getattr(prof, attr)
+            self.present[f].append(family is not None)
+            if family:
+                self.arrays[f].extend(family)
+                self.slots[f].extend([self.n] * len(family))
+        self.n += 1
+
+    def pair_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(len(_SET_FEATURES), n_pairs) set_jaccard of each family over the
+        pairs (a[i], b[i]) (_compute_features)."""
+        return _compute_features(self, a, b)
+
+    def counts(self, families: range) -> tuple[np.ndarray, np.ndarray]:
+        """(k, S, S) float32 intersection counts and (k, S) set sizes of k
+        families over the S profiles, from one Gram product whose rows
+        j * S to (j + 1) * S hold the j-th family."""
+        n, k = self.n, len(families)
+        arrays = [ids for f in families for ids in self.arrays[f]]
+        ids = np.concatenate(arrays, dtype=np.int64) if arrays else np.zeros(0, np.int64)
+        # (family, gram id, slot) in bit fields of one int64 key
+        slot_bits = (n - 1).bit_length()
+        id_bits = int(ids.max(initial=0)).bit_length()
+        tags = [j << id_bits + slot_bits | s for j, f in enumerate(families) for s in self.slots[f]]
+        key = np.repeat(np.array(tags, dtype=np.int64), [len(x) for x in arrays])
+        key |= ids << slot_bits
+        key.sort()
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]  # a gram repeated within one profile counts once
+        gram = key >> slot_bits
+        row = (gram >> id_bits) * n + (key & (1 << slot_bits) - 1)
+        sizes = np.bincount(row, minlength=k * n).reshape(k, n)
+        # a gram only one signature holds adds to that signature's own
+        # diagonal alone, which is its set size: drop it
+        starts = np.empty(len(gram), dtype=bool)
+        starts[:1] = True
+        np.not_equal(gram[1:], gram[:-1], out=starts[1:])
+        run = np.cumsum(starts) - 1
+        shared = np.bincount(run, minlength=1) > 1
+        keep = shared[run]
+        cols, row = (np.cumsum(shared) - 1)[run[keep]], row[keep]
+        n_cols = int(np.count_nonzero(shared))
+        # zero rows up to a multiple of GRAM_ROW_ALIGN, which add nothing
+        rows = -(-k * n // GRAM_ROW_ALIGN) * GRAM_ROW_ALIGN
+        width = max(1, GRAM_CHUNK_BYTES // (4 * rows))
+        product = np.zeros((rows, rows), dtype=np.float32)
+        for lo in range(0, n_cols, width):
+            hi = min(lo + width, n_cols)
+            p, q = np.searchsorted(cols, (lo, hi))
+            M = np.zeros((rows, hi - lo), dtype=np.float32)
+            M[row[p:q], cols[p:q] - lo] = 1.0
+            product += M @ M.T
+        blocks = product[: k * n, : k * n].reshape(k, n, k, n)
+        return blocks[np.arange(k), :, np.arange(k), :], sizes
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +742,8 @@ _SET_FEATURES = (
     ("ref_title_char_jaccard", "ref_title_grams"),
     ("ref_venue_char_jaccard", "ref_venue_grams"),
     ("ref_key_char_jaccard", "ref_key_grams"),
-    ("ref_cocitation_jaccard", "ref_ids"),
+    ("ref_cocitation_jaccard", "cited_ids"),
 )
-
-
-def _compute_features(pa: SignatureProfile, pb: SignatureProfile) -> tuple[float, ...]:
-    """The _SET_FEATURES values of one pair, set by set: the set overlaps of
-    sparse featurize_pairs calls."""
-    out = []
-    for _, attr in _SET_FEATURES:
-        x, y = getattr(pa, attr), getattr(pb, attr)
-        out.append(MISSING if x is None or y is None else set_jaccard(x, y))
-    return tuple(out)
 
 
 def featurize_pair(
@@ -595,30 +764,33 @@ def featurize_pairs(
     dataset: Dataset,
     counts: NameCountsTable,
     schema: FeatureSchema,
+    grams: PaperGrams | None = None,
 ) -> np.ndarray:
     """Feature matrix (n_pairs, n_features) in schema order for the pairs
     (``sigs[a[i]]``, ``sigs[b[i]]``) of one dataset.
 
     Every feature is computed column-wise over the call's distinct signature
-    indices (_feature_columns). Only the _SET_FEATURES Jaccards have two
-    kernels: Gram products over interned gram ids when the call holds at
-    least DENSE_PAIRS_PER_SIG pairs per distinct signature index, else set
-    intersections pair by pair (ProfileIndex.pair_values); both give the
-    same bytes. Profiles live for one call only, so a caller that knows the
-    blocks calls once per block.
+    indices (_feature_columns), the set overlaps from Gram products over
+    gram ids. ``grams`` is the PaperGrams of ``dataset`` that a caller
+    scoring many calls shares among them, so each cited paper is n-grammed
+    once; without it the call builds its own. Profiles live for one call
+    only, so a caller that knows the blocks calls once per block.
     """
     unknown = [name for name in schema.names if name not in _FEATURE_NAMES]
     if unknown:
         raise SchemaMismatchError(f"schema requests unknown features {unknown}")
+    if grams is None:
+        grams = PaperGrams(dataset)
+    elif grams.papers is not dataset.papers:
+        raise ValueError("grams is the PaperGrams of another dataset")
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     X = np.empty((len(a), len(schema)), dtype=np.float64)
     if not len(a):
         return X
     slots, local = np.unique(np.concatenate([a, b]), return_inverse=True)
-    dense = len(a) >= DENSE_PAIRS_PER_SIG * len(slots)
     column = {name: j for j, name in enumerate(schema.names)}
     group = [sigs[i] for i in slots.tolist()]
-    for name, values in _feature_columns(group, *np.split(local, 2), dataset, counts, dense):
+    for name, values in _feature_columns(group, *np.split(local, 2), dataset, counts, grams):
         if name in column:
             X[:, column[name]] = values
     return X
@@ -627,17 +799,6 @@ def featurize_pairs(
 # ---------------------------------------------------------------------------
 # column-wise featurization
 # ---------------------------------------------------------------------------
-
-# A featurize_pairs call takes its set overlaps from Gram products once it
-# holds at least this many pairs per distinct signature, and pair by pair
-# below that. A block of n signatures scored whole has (n - 1) / 2 pairs per
-# signature. Measured on all pairs of n signatures drawn from one block of the
-# bench's train or cluster-giant corpus (2-vCPU machine, best of 7 runs per
-# kernel, median over 7 draws per n), pair-by-pair time over Gram-product
-# time was 0.81 at n = 8, 0.88-0.89 at 10, 0.99 at 12, 1.04-1.06 at 14,
-# 1.10-1.13 at 16, 1.7-1.8 at 32 and 3.1 at 64: the kernels tie near 5.5
-# pairs per signature.
-DENSE_PAIRS_PER_SIG = 6.0
 
 # Bytes of scratch one column-wise product holds at once: the 0/1 float32
 # indicator of a Gram product, or the float64 embedding rows of a batch of
@@ -655,68 +816,29 @@ GRAM_ROW_ALIGN = 64
 _FEATURE_NAMES = frozenset(f.name for f in _DEFAULT_FEATURES)
 
 
-class _GramFamily:
-    """One set-valued profile field of a group's signatures, held as int
-    gram ids against a vocabulary of the group's own."""
+def _compute_features(index: ProfileIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(_SET_FEATURES), n_pairs) set_jaccard of each family of ``index``
+    over the pairs (a[i], b[i]), missing where either field is None.
 
-    def __init__(self):
-        self.vocab: dict = {}
-        self._next_id = itertools.count()
-        self.ids: list[int] = []
-        self.sizes: list[int] = []
-        self.present: list[bool] = []
-
-    def add(self, values: frozenset | None) -> None:
-        """Append the next signature's set; None marks the field missing."""
-        self.present.append(values is not None)
-        self.sizes.append(len(values) if values is not None else 0)
-        if values:
-            # setdefault gives a new gram the next counter value and an old
-            # one its id, all in C; the values an old gram skips leave gaps
-            self.ids.extend(map(self.vocab.setdefault, values, self._next_id))
-
-    def intersections(self) -> np.ndarray:
-        """(S, S) float32 |A & B| over the group's S signatures.
-
-        Sums of 0/1 products stay exact in float32 below 2**24, so the
-        counts are exact integers whatever order the product adds in.
-        """
-        n = len(self.sizes)
-        ids = np.asarray(self.ids, dtype=np.int64)
-        # a gram only one signature holds adds to that signature's own
-        # diagonal alone, which is its set size: drop its column
-        shared = np.bincount(ids, minlength=1) > 1
-        keep = shared[ids]
-        cols = (np.cumsum(shared) - 1)[ids[keep]]
-        owners = np.repeat(np.arange(n), self.sizes)[keep]
-        order = np.argsort(cols, kind="stable")
-        cols, owners = cols[order], owners[order]
-        n_cols = int(np.count_nonzero(shared))
-        # zero rows up to a multiple of GRAM_ROW_ALIGN, which add nothing
-        rows = -(-n // GRAM_ROW_ALIGN) * GRAM_ROW_ALIGN
-        width = max(1, GRAM_CHUNK_BYTES // (4 * rows))
-        inter = np.zeros((rows, rows), dtype=np.float32)
-        for lo in range(0, n_cols, width):
-            hi = min(lo + width, n_cols)
-            a, b = np.searchsorted(cols, (lo, hi))
-            M = np.zeros((rows, hi - lo), dtype=np.float32)
-            M[owners[a:b], cols[a:b] - lo] = 1.0
-            inter += M @ M.T
-        inter = inter[:n, :n]
-        np.fill_diagonal(inter, self.sizes)
-        return inter
-
-    def jaccard(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """set_jaccard of the pairs (a[i], b[i]), missing where either
-        field is None."""
-        inter = self.intersections()[a, b].astype(np.float64)
-        sizes = np.asarray(self.sizes, dtype=np.float64)
-        union = sizes[a] + sizes[b] - inter
-        present = np.asarray(self.present)
-        defined = (union > 0) & present[a] & present[b]
-        out = np.full(len(a), MISSING)
-        np.divide(inter, union, out=out, where=defined)
-        return out
+    The intersection counts come from Gram products (ProfileIndex.counts).
+    One product stacks as many families as fit in GRAM_ROW_ALIGN rows, at
+    least one, and keeps only its diagonal blocks. Sums of 0/1 products
+    stay exact in float32 below 2**24, so the counts are exact integers
+    whatever order a product adds in.
+    """
+    n_fam = len(_SET_FEATURES)
+    per = max(1, GRAM_ROW_ALIGN // index.n)
+    present = np.array(index.present)
+    diag = np.arange(index.n)
+    out = np.full((n_fam, len(a)), MISSING)
+    for f in range(0, n_fam, per):
+        inter, sizes = index.counts(range(f, min(f + per, n_fam)))
+        inter[:, diag, diag] = sizes
+        inter = inter[:, a, b].astype(np.float64)
+        union = sizes[:, a] + sizes[:, b] - inter
+        defined = (union > 0) & present[f : f + per, a] & present[f : f + per, b]
+        np.divide(inter, union, out=out[f : f + per], where=defined)
+    return out
 
 
 def _intern(values: Sequence) -> tuple[np.ndarray, list]:
@@ -761,29 +883,23 @@ def _feature_columns(
     b: np.ndarray,
     dataset: Dataset,
     counts: NameCountsTable,
-    dense: bool,
+    grams: PaperGrams,
 ):
     """Yield (feature name, column) for every feature of the pairs
     (``sigs[a[i]]``, ``sigs[b[i]]``) of distinct signatures ``sigs``.
 
-    Each signature's profile is built once and reduced to scalars. When
-    ``dense``, it is also reduced to gram ids and dropped, and each set
-    family's intersection counts come from one Gram product over the
-    signatures; otherwise the profiles stay for ProfileIndex.pair_values.
-    The name kernels run once per distinct ordered (first, middle) name
-    pair.
+    Each signature's profile is built once, reduced to scalars and to its
+    families in a ProfileIndex, and dropped; each set family's intersection
+    counts come from one Gram product over the signatures. The name kernels
+    run once per distinct ordered (first, middle) name pair.
     """
-    families = {attr: _GramFamily() for _, attr in _SET_FEATURES} if dense else {}
-    profiles: list[SignatureProfile] = []
+    index, vocab = ProfileIndex(), Vocabulary()
     names, prefixes, suffixes, languages, papers, refs, embeddings = ([] for _ in range(7))
     years, positions, abstracts = [], [], []
     name_counts: dict[str, list] = {key: [] for key in _COUNT_GETTERS}
     for sig in sigs:
-        prof = SignatureProfile(sig, dataset)
-        for attr, family in families.items():
-            family.add(getattr(prof, attr))
-        if not dense:
-            profiles.append(prof)
+        prof = SignatureProfile(sig, dataset, grams, vocab)
+        index.add(prof)
         names.append((prof.name.first, prof.name.middle))
         prefixes.append(prof.email_prefix)
         suffixes.append(prof.email_suffix)
@@ -798,17 +914,8 @@ def _feature_columns(
             c = getattr(counts, getter)(prof.count_keys[key])
             name_counts[key].append(MISSING if c is None else c)
 
-    if dense:
-        for feature, attr in _SET_FEATURES:
-            yield feature, families[attr].jaccard(a, b)
-    else:
-        index = ProfileIndex()
-        overlaps = np.array(
-            [index.pair_values(profiles[j], profiles[k]) for j, k in zip(a.tolist(), b.tolist())],
-            dtype=np.float64,
-        )
-        for j, (feature, _) in enumerate(_SET_FEATURES):
-            yield feature, overlaps[:, j]
+    for (feature, _), values in zip(_SET_FEATURES, index.pair_values(a, b)):
+        yield feature, values
 
     paper, distinct = _intern(papers)
     span = len(distinct)

@@ -414,6 +414,15 @@ def _best_split(miss_t, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict
     # where a value is below the next one
     vals = node.vals
     can_cut = vals[:, :-1] < vals[:, 1:]
+    # no finite threshold parts -inf from -max float, so that one cut is
+    # no candidate; -inf values come first in a sorted column
+    low = np.flatnonzero(vals[:, 0] == -np.inf)
+    if low.size:
+        k = np.count_nonzero(vals[low] == -np.inf, axis=1)
+        at = k < m
+        low, k = low[at], k[at]
+        stuck = vals[low, k] == -np.finfo(np.float64).max
+        can_cut[low[stuck], k[stuck] - 1] = False
     totals = can_cut.sum(axis=1)
     live = totals > 0
     if not live.any():
@@ -489,6 +498,10 @@ def _best_split(miss_t, g, h, node: _Node, feats, cvec, hp: HyperParams) -> dict
     # the lower value, so rows route as the cut's statistics assumed
     if not thr < hi_v:
         thr = lo_v
+    # a cut above -inf (or a midpoint that overflowed to it): the largest
+    # float below the upper value, so every threshold is finite
+    if thr == -np.inf:
+        thr = float(np.nextafter(hi_v, -np.inf))
     return {
         "feature": int(feats[slots[fi[k]]]),
         "threshold": thr,

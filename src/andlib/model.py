@@ -25,6 +25,7 @@ from .errors import ConfigError, ParseError, SchemaMismatchError
 from .features import (
     FeatureSchema,
     FeatureSpec,
+    PaperGrams,
     featurize_pairs,
     featurize_pair,
     mask_nameless,
@@ -95,14 +96,16 @@ def sample_pairs(
     rng = np.random.Generator(np.random.PCG64(seed))
     a, b = cand[:, rng.permutation(cand.shape[1])[: max(cap, 0)]]
 
-    # features one block at a time, so only one block's profiles are alive
+    # features one block at a time, so only one block's profiles are alive,
+    # against one PaperGrams table, so each cited paper is n-grammed once
     feat_ds = source if source is not None else dataset
     sigs = [feat_ds.signatures[m] for m in members]
+    grams = PaperGrams(feat_ds)
     X = np.empty((len(a), len(schema)), dtype=np.float64)
     block_of = np.repeat(np.arange(len(blocks)), sizes)[a]
     order = np.argsort(block_of, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(block_of[order])) + 1):
-        X[rows] = featurize_pairs(sigs, a[rows], b[rows], feat_ds, counts, schema)
+        X[rows] = featurize_pairs(sigs, a[rows], b[rows], feat_ds, counts, schema, grams)
     label = np.array([dataset.gold.assignment[m] for m in members])
     return PairSample(
         sig_a=tuple(members[i] for i in a.tolist()),

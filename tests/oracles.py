@@ -3,30 +3,34 @@
 Everything here is written straight from the definitions, favoring clarity
 over speed, and deliberately shares no code with the library paths it
 checks. The exceptions are the GBT split-search reference, the per-tree
-prediction loop and the per-pair featurizer, which are the library's
-earlier implementations and reuse its tree container, loss helpers,
-signature profiles and string kernels.
+prediction loop, the string-set signature profile and the per-pair
+featurizer, which are the library's earlier implementations and reuse its
+tree container, loss helpers, name folding and string kernels.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import unicodedata
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from andlib.corpus import NameCountsTable
+from andlib import blocking
+from andlib.corpus import Dataset, NameCountsTable, Signature
+from andlib.errors import IntegrityError
 from andlib.features import (
     _COUNT_FEATURES,
     _COUNT_GETTERS,
     _NAME_FEATURES,
     MISSING,
-    SignatureProfile,
     _name_features,
     set_jaccard,
+    word_grams,
 )
 from andlib.gbt import (
     _GAIN_EPS,
@@ -434,6 +438,8 @@ def _ref_best_split(
     # present values
     with np.errstate(invalid="ignore"):
         can_cut = (sorted_cols[1:] != sorted_cols[:-1]) & ~np.isnan(sorted_cols[1:])
+    # no finite threshold lies between -inf and -max float
+    can_cut &= ~((sorted_cols[:-1] == -np.inf) & (sorted_cols[1:] == -np.finfo(np.float64).max))
     # thin to ~max_bins evenly spaced cuts per feature (rank-based, so
     # features with few distinct values keep all their cuts)
     max_cuts = max(1, hp.max_bins - 1)
@@ -497,6 +503,9 @@ def _ref_best_split(
     # the lower value, so rows route as the cut's statistics assumed
     if not thr < hi_v:
         thr = lo_v
+    # every threshold is finite: above -inf, cut just below the upper value
+    if thr == -np.inf:
+        thr = float(np.nextafter(hi_v, -np.inf))
     return {
         "feature": int(feats[fi]),
         "threshold": thr,
@@ -689,6 +698,134 @@ def textbook_jaro_winkler(a: str, b: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def reference_fold_text(text: str) -> str:
+    """blocking.fold_text without its ASCII shortcut: NFKD, drop combining
+    marks, keep alphanumerics and whitespace, lowercase, collapse
+    whitespace."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    no_marks = "".join(c for c in decomposed if not unicodedata.combining(c))
+    kept = "".join(c for c in no_marks if c.isalnum() or c.isspace())
+    return " ".join(kept.lower().split())
+
+
+def reference_char_grams(text: str, lo: int, hi: int) -> frozenset[str]:
+    """features.char_grams as a loop over lengths and starts: the union of
+    the contiguous n-grams of the lowercased text for n in [lo, hi]."""
+    s = text.lower()
+    grams: set[str] = set()
+    for n in range(lo, hi + 1):
+        grams.update(s[i : i + n] for i in range(len(s) - n + 1))
+    return frozenset(grams)
+
+
+def reference_profile(sig: Signature, dataset: Dataset) -> SimpleNamespace:
+    """One signature's fields as plain strings and string sets: the
+    library's earlier SignatureProfile, which reference_pair_features
+    reads, with the reference n-gram and folding kernels."""
+    prof = SimpleNamespace()
+    paper = dataset.papers.get(sig.paper_id)
+    if paper is None:
+        raise IntegrityError(
+            f"signature {sig.signature_id!r} references missing paper"
+        )
+    prof.paper_id = sig.paper_id
+    prof.name = name = sig.name
+
+    coauthors = [
+        raw
+        for i, raw in enumerate(paper.author_names, start=1)
+        if i != sig.author_position
+    ]
+    keys: set[str] = set()
+    names: set[str] = set()
+    joined: list[str] = []
+    for raw in coauthors:
+        folded = reference_fold_text(raw)
+        if not folded:
+            continue
+        parts = folded.split()
+        keys.add(f"{parts[0][0] if len(parts) > 1 else blocking.EMPTY_INITIAL} {parts[-1]}")
+        names.add(folded)
+        joined.append(folded)
+    prof.coauthor_keys = frozenset(keys)
+    prof.coauthor_names = frozenset(names)
+    prof.coauthor_grams = reference_char_grams(" ".join(joined), 2, 4) if joined else frozenset()
+
+    prof.affiliation_grams = (
+        word_grams(reference_fold_text(" ".join(sig.affiliations)), 1, 3)
+        if sig.affiliations
+        else None
+    )
+
+    if sig.email and "@" in sig.email:
+        prefix, _, suffix = sig.email.lower().partition("@")
+        prof.email_prefix, prof.email_suffix = prefix, suffix
+    elif sig.email:
+        prof.email_prefix, prof.email_suffix = sig.email.lower(), ""
+    else:
+        prof.email_prefix = prof.email_suffix = None
+
+    prof.venue_grams = reference_char_grams(paper.venue, 2, 4) if paper.venue else None
+    prof.journal_grams = reference_char_grams(paper.journal, 2, 4) if paper.journal else None
+    title = paper.title or ""
+    prof.title_word_g = word_grams(title, 1, 3) if title else None
+    prof.title_char_g = reference_char_grams(title, 2, 4) if title else None
+    prof.year = paper.year
+    prof.position = sig.author_position
+    prof.has_abstract = bool(paper.abstract)
+    prof.language = paper.language.lower() if paper.language else None
+
+    prof.ref_ids = paper.reference_ids
+    if paper.reference_ids:
+        authors: list[str] = []
+        titles: list[str] = []
+        venues: list[str] = []
+        ref_keys: list[str] = []
+        for rid in sorted(paper.reference_ids):
+            ref = dataset.papers.get(rid)
+            if ref is None:
+                continue
+            for raw in ref.author_names:
+                folded = reference_fold_text(raw)
+                if not folded:
+                    continue
+                authors.append(folded)
+                parts = folded.split()
+                initial = parts[0][0] if len(parts) > 1 else blocking.EMPTY_INITIAL
+                ref_keys.append(f"{initial} {parts[-1]}")
+            if ref.title:
+                titles.append(ref.title)
+            if ref.venue:
+                venues.append(ref.venue)
+            if ref.journal:
+                venues.append(ref.journal)
+        prof.ref_author_grams = reference_char_grams(" ".join(authors), 2, 4)
+        prof.ref_title_grams = reference_char_grams(" ".join(titles), 2, 4)
+        prof.ref_venue_grams = reference_char_grams(" ".join(venues), 2, 4)
+        prof.ref_key_grams = reference_char_grams(" ".join(ref_keys), 2, 4)
+    else:
+        prof.ref_author_grams = None
+        prof.ref_title_grams = None
+        prof.ref_venue_grams = None
+        prof.ref_key_grams = None
+
+    if paper.embedding is not None:
+        vec = np.asarray(paper.embedding, dtype=np.float64)
+        norm = float(np.linalg.norm(vec))
+        prof.embedding = vec / norm if norm > 0 else None
+    else:
+        prof.embedding = None
+
+    first, last = name.first, name.last
+    prof.count_keys = {
+        "first": first or None,
+        "last": last,
+        "first_last": f"{first} {last}" if first else None,
+        "first_initial_last": f"{name.first_initial} {last}" if first else None,
+    }
+    return prof
+
+
 def _equal01(a, b) -> float:
     if a is None or b is None:
         return MISSING
@@ -696,8 +833,8 @@ def _equal01(a, b) -> float:
 
 
 def reference_pair_features(
-    pa: SignatureProfile,
-    pb: SignatureProfile,
+    pa: SimpleNamespace,
+    pb: SimpleNamespace,
     counts: NameCountsTable,
 ) -> dict[str, float]:
     """Every feature of one pair, computed pair by pair: the library's

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,13 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from andlib import features
 from andlib.blocking import block_key, build_blocks
-from andlib.corpus import build_name_counts
+from andlib.corpus import Paper, Signature, build_name_counts
 from andlib.errors import SchemaMismatchError
 from andlib.features import (
     ADVANCED_NAME_FEATURES,
+    MISSING,
     FeatureSchema,
     FeatureSpec,
-    SignatureProfile,
+    PaperGrams,
+    ProfileIndex,
+    Vocabulary,
     char_grams,
     default_schema,
     featurize_pair,
@@ -33,11 +41,18 @@ from andlib.features import (
 from oracles import (
     brute_force_lcs_length,
     recursive_levenshtein,
+    reference_char_grams,
     reference_pair_features,
+    reference_profile,
     textbook_jaro_winkler,
 )
 
 short_text = st.text(alphabet="abcdxy", max_size=6)
+
+#: characters whose lowercasing changes a string's length (İ), depends on
+#: the neighbours (Σ), or is already lower case (ς, ß, the ligature ﬁ, a
+#: combining acute accent), plus whitespace
+GRAM_ALPHABET = "aZΣςİß\u0301ﬁ \t"
 
 
 class TestLevenshtein:
@@ -144,6 +159,10 @@ class TestNgramJaccard:
     def test_gram_helpers(self):
         assert char_grams("abcd", 2, 2) == {"ab", "bc", "cd"}
         assert word_grams("a b c", 1, 2) == {"a", "b", "c", "a b", "b c"}
+
+    @given(st.text(alphabet=GRAM_ALPHABET, max_size=9), st.integers(1, 5), st.integers(0, 6))
+    def test_char_grams_match_the_definition(self, text, lo, hi):
+        assert char_grams(text, lo, hi) == reference_char_grams(text, lo, hi)
 
 
 EXPECTED_PAIR = {
@@ -303,7 +322,7 @@ def oracle_features(sigs, a, b, dataset, counts, schema):
 
     def profile(sig):
         if sig.signature_id not in profiles:
-            profiles[sig.signature_id] = SignatureProfile(sig, dataset)
+            profiles[sig.signature_id] = reference_profile(sig, dataset)
         return profiles[sig.signature_id]
 
     rows = []
@@ -313,33 +332,54 @@ def oracle_features(sigs, a, b, dataset, counts, schema):
     return np.array(rows, dtype=np.float64).reshape(len(a), len(schema))
 
 
-def assert_matches_oracle(sigs, a, b, dataset, schema):
+def assert_matches_oracle(sigs, a, b, dataset, schema, featurize=featurize_pairs):
     counts = build_name_counts(dataset)
     for x, y in ((a, b), (b, a)):  # both orders
-        got = featurize_pairs(sigs, x, y, dataset, counts, schema)
+        got = featurize(sigs, x, y, dataset, counts, schema)
         want = oracle_features(sigs, x, y, dataset, counts, schema)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
+def featurize_one_by_one(sigs, a, b, dataset, counts, schema):
+    """featurize_pairs with one call per pair, every call against one
+    shared PaperGrams: the smallest Gram products, and a table reused
+    across calls."""
+    grams = PaperGrams(dataset)
+    rows = [
+        featurize_pairs(sigs, a[i : i + 1], b[i : i + 1], dataset, counts, schema, grams)
+        for i in range(len(a))
+    ]
+    return np.concatenate(rows) if rows else featurize_pairs(sigs, a, b, dataset, counts, schema)
+
+
 @pytest.fixture(params=["per_pair", "column_wise"])
-def kernel(request, monkeypatch):
-    """Force every featurize_pairs call onto one kernel."""
-    per_pair = request.param == "per_pair"
-    monkeypatch.setattr(features, "DENSE_PAIRS_PER_SIG", math.inf if per_pair else 0.0)
-    return request.param
+def kernel(request):
+    """Featurize each pair in its own call, or all pairs in one."""
+    return featurize_one_by_one if request.param == "per_pair" else featurize_pairs
 
 
 def with_sparse_fields(dataset):
     """A copy of ``dataset`` where, in its largest block, one signature has
     no affiliation and its paper no venue, journal, title or references;
-    one paper cites only papers that do not exist; and two signatures have
-    affiliations and emails that fold to empty strings."""
+    one paper cites only papers that do not exist; two signatures have
+    affiliations and emails that fold to empty strings; and two papers cite
+    a paper with a 1-character title, a 2-character venue and a
+    1-character author name, which falls between their other references."""
     block = max(build_blocks(dataset), key=len)
-    assert len(block) >= 4
+    assert len(block) >= 6
     papers = dict(dataset.papers)
     sigs = dict(dataset.signatures)
-    m0, m1, m2, m3 = (sigs[m] for m in block.members[:4])
+    m0, m1, m2, m3, m4, m5 = (sigs[m] for m in block.members[:6])
+    tiny = Paper(paper_id="bg00021a", title="x", venue="Ab", author_names=("Q",))
+    papers[tiny.paper_id] = tiny
+    for m in (m4, m5):
+        paper = papers[m.paper_id]
+        assert any(r < tiny.paper_id for r in paper.reference_ids)
+        assert any(r > tiny.paper_id for r in paper.reference_ids)
+        papers[m.paper_id] = dataclasses.replace(
+            paper, reference_ids=paper.reference_ids | {tiny.paper_id}
+        )
     papers[m0.paper_id] = dataclasses.replace(
         papers[m0.paper_id], title="", venue=None, journal=None,
         reference_ids=frozenset(),
@@ -351,6 +391,54 @@ def with_sparse_fields(dataset):
     sigs[m2.signature_id] = dataclasses.replace(m2, affiliations=("--",), email="nobody")
     sigs[m3.signature_id] = dataclasses.replace(m3, affiliations=("!",), email="@x.org")
     return dataclasses.replace(dataset, papers=papers, signatures=sigs)
+
+
+def reference_profile_refs(citing, dataset):
+    """The oracle's four ref_* string sets of a paper that cites ``citing``."""
+    paper = Paper(paper_id="citing", title="t", author_names=("A B",), reference_ids=citing)
+    sig = Signature(
+        signature_id="s", paper_id="citing", author_position=1, first="A", middle=None, last="B"
+    )
+    prof = reference_profile(sig, SimpleNamespace(papers={**dataset.papers, "citing": paper}))
+    return [prof.ref_author_grams, prof.ref_title_grams, prof.ref_venue_grams, prof.ref_key_grams]
+
+
+HASH_SEED_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from andlib.blocking import build_blocks
+from andlib.corpus import build_name_counts
+from andlib.features import default_schema, featurize_pairs
+from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
+ds = generate_synthetic_corpus(11, GeneratorConfig(n_authors=40, mean_papers=5, collision_rate=0.25))
+counts, schema, digest = build_name_counts(ds), default_schema(), hashlib.sha256()
+for block in build_blocks(ds):
+    sigs = [ds.signatures[m] for m in block.members]
+    a, b = np.triu_indices(len(sigs), k=1)
+    digest.update(featurize_pairs(sigs, a, b, ds, counts, schema).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_feature_bytes_do_not_depend_on_the_hash_seed(small_corpus):
+    # gram ids follow set iteration order, which follows the string hash
+    # seed; only equal and distinct ids may matter
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout.strip())
+    counts, schema, here = build_name_counts(small_corpus), default_schema(), hashlib.sha256()
+    for block in build_blocks(small_corpus):
+        sigs = [small_corpus.signatures[m] for m in block.members]
+        a, b = np.triu_indices(len(sigs), k=1)
+        here.update(featurize_pairs(sigs, a, b, small_corpus, counts, schema).tobytes())
+    assert digests == [here.hexdigest()] * 2
 
 
 class TestFeaturizePairsOracle:
@@ -366,10 +454,9 @@ class TestFeaturizePairsOracle:
         assert np.array_equal(backward, expected, equal_nan=True)
 
     def test_each_kernel_matches_compute_features_bytes(self, small_corpus, kernel):
-        assert_matches_oracle(*block_pairs(small_corpus), small_corpus, default_schema())
+        assert_matches_oracle(*block_pairs(small_corpus), small_corpus, default_schema(), kernel)
 
     def test_gram_products_in_many_vocabulary_chunks(self, small_corpus, monkeypatch):
-        monkeypatch.setattr(features, "DENSE_PAIRS_PER_SIG", 0.0)
         monkeypatch.setattr(features, "GRAM_CHUNK_BYTES", 1)  # one column a chunk
         assert_matches_oracle(*block_pairs(small_corpus), small_corpus, default_schema())
 
@@ -382,7 +469,7 @@ class TestFeaturizePairsOracle:
         k = next(k for k in b if block_key(sigs[k]) != block_key(sigs[a[0]]))
         mid = len(a) // 2
         a, b = np.insert(a, mid, a[0]), np.insert(b, mid, k)
-        assert_matches_oracle(sigs, a, b, small_corpus, default_schema())
+        assert_matches_oracle(sigs, a, b, small_corpus, default_schema(), kernel)
 
     def test_repeated_signature_indices(self, small_corpus, kernel):
         # the same signature at two indices, and a signature paired with itself
@@ -390,7 +477,7 @@ class TestFeaturizePairsOracle:
         sigs = sigs + sigs[:1]
         a = np.append(a, [len(sigs) - 1, 0, 0])
         b = np.append(b, [1, len(sigs) - 1, 0])
-        assert_matches_oracle(sigs, a, b, small_corpus, default_schema())
+        assert_matches_oracle(sigs, a, b, small_corpus, default_schema(), kernel)
 
     @pytest.mark.parametrize(
         "dropped",
@@ -399,15 +486,15 @@ class TestFeaturizePairsOracle:
     )
     def test_dropped_feature_schemas(self, small_corpus, kernel, dropped):
         schema = default_schema().drop(dropped)
-        assert_matches_oracle(*block_pairs(small_corpus), small_corpus, schema)
+        assert_matches_oracle(*block_pairs(small_corpus), small_corpus, schema, kernel)
 
     def test_missing_fields_and_dangling_references(self, small_corpus, kernel):
         dataset = with_sparse_fields(small_corpus)
-        assert_matches_oracle(*block_pairs(dataset), dataset, default_schema())
+        assert_matches_oracle(*block_pairs(dataset), dataset, default_schema(), kernel)
 
     def test_empty_pair_list(self, pair_fixture, kernel):
         dataset, counts, schema = pair_fixture
-        X = featurize_pairs([], [], [], dataset, counts, schema)
+        X = kernel([], np.array([], dtype=int), np.array([], dtype=int), dataset, counts, schema)
         assert X.shape == (0, len(schema)) and X.dtype == np.float64
 
     def test_unknown_schema_name_is_refused(self, pair_fixture, kernel):
@@ -415,26 +502,105 @@ class TestFeaturizePairsOracle:
         bad = FeatureSchema(schema.features + (FeatureSpec("no_such_feature", "g", 0),))
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
         with pytest.raises(SchemaMismatchError):
-            featurize_pairs([s1, s2], [0, 1], [1, 0], dataset, counts, bad)
+            kernel([s1, s2], np.array([0, 1]), np.array([1, 0]), dataset, counts, bad)
 
     @given(
         st.lists(
-            st.frozensets(st.text(alphabet="abc", max_size=2), max_size=5),
+            st.none() | st.frozensets(st.text(alphabet="abc", max_size=2), max_size=5),
             min_size=1,
             max_size=6,
         ),
         st.sampled_from([1, 64, features.GRAM_CHUNK_BYTES]),
+        st.sampled_from([1, 4, features.GRAM_ROW_ALIGN]),
     )
     @settings(max_examples=100)
-    def test_gram_jaccard_equals_set_jaccard_bit_for_bit(self, sets, chunk_bytes):
-        family = features._GramFamily()
-        for values in sets:
-            family.add(values)
-        a, b = (x.ravel() for x in np.indices((len(sets), len(sets))))
-        with mock.patch.object(features, "GRAM_CHUNK_BYTES", chunk_bytes):
-            got = family.jaccard(a, b)
-        want = np.array([set_jaccard(sets[i], sets[j]) for i, j in zip(a, b)])
-        assert got.tobytes() == want.tobytes()
+    def test_gram_jaccard_equals_set_jaccard_bit_for_bit(self, sets, chunk_bytes, row_align):
+        # family f of signature i holds sets[(i + f) % n], as two id arrays
+        # that overlap, so a product stacks different families and a
+        # profile repeats ids
+        n, vocab, index = len(sets), Vocabulary(), ProfileIndex()
+        attrs = [attr for _, attr in features._SET_FEATURES]
+        for i in range(n):
+            prof = SimpleNamespace()
+            for f, attr in enumerate(attrs):
+                values = sets[(i + f) % n]
+                half = frozenset(sorted(values or ())[::2])
+                setattr(prof, attr, None if values is None else [vocab.intern(values), vocab.intern(half)])
+            index.add(prof)
+        a, b = (x.ravel() for x in np.indices((n, n)))
+        with mock.patch.multiple(features, GRAM_CHUNK_BYTES=chunk_bytes, GRAM_ROW_ALIGN=row_align):
+            got = index.pair_values(a, b)
+        for f in range(len(attrs)):
+            side = [sets[(i + f) % n] for i in range(n)]
+            want = np.array(
+                [
+                    MISSING if side[i] is None or side[j] is None else set_jaccard(side[i], side[j])
+                    for i, j in zip(a, b)
+                ]
+            )
+            assert got[f].tobytes() == want.tobytes()
+
+
+def test_ids_widen_past_65536_strings():
+    # ids stay exact when the vocabulary outgrows uint16 between two arrays
+    vocab, index = Vocabulary(), ProfileIndex()
+    small = vocab.intern(frozenset({"a", "b"}))
+    big = vocab.intern(frozenset({f"g{i}" for i in range(1 << 16)} | {"a"}))
+    assert small.dtype == np.uint16 and big.dtype == np.int32
+    assert int(big.max()) == (1 << 16) + 1 and len(set(big.tolist())) == len(big)
+    for family in (small, big):
+        prof = SimpleNamespace(**{attr: [family] for _, attr in features._SET_FEATURES})
+        index.add(prof)
+    got = index.pair_values(np.array([0]), np.array([1]))
+    assert (got == 1 / ((1 << 16) + 2)).all()
+
+
+class TestPaperGrams:
+    @given(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "title": st.text(alphabet=GRAM_ALPHABET, max_size=6),
+                    "venue": st.none() | st.text(alphabet=GRAM_ALPHABET, max_size=4),
+                    "journal": st.none() | st.text(alphabet=GRAM_ALPHABET, max_size=4),
+                    "authors": st.lists(st.text(alphabet=GRAM_ALPHABET, max_size=5), max_size=3),
+                }
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reference_families_equal_char_grams_of_the_join(self, cited, picks):
+        # cited papers, one of them possibly missing from the corpus, with
+        # 0- to 6-character texts over an alphabet where lowercasing changes
+        # lengths (İ), depends on context (Σ) or decomposes (ß, ﬁ)
+        papers = {
+            f"r{k}": Paper(
+                paper_id=f"r{k}",
+                title=doc["title"],
+                venue=doc["venue"],
+                journal=doc["journal"],
+                author_names=tuple(doc["authors"]),
+            )
+            for k, doc in enumerate(cited)
+        }
+        citing = frozenset(f"r{k}" for k in picks)  # r5 is never in the corpus
+        dataset = SimpleNamespace(papers=papers)
+        grams = PaperGrams(dataset)
+        got = grams.references(citing)
+        want = reference_profile_refs(citing, dataset)
+        vocab = grams.vocab._ids
+        for family, texts in zip(got, want):
+            ids = set(np.concatenate(family).tolist()) if family else set()
+            assert ids == {vocab[g] for g in texts}
+            assert len(ids) == len(texts)
+        # a second request reuses the cached papers and gives the same ids
+        again = grams.references(citing)
+        assert [set(np.concatenate(f).tolist()) if f else set() for f in again] == [
+            set(np.concatenate(f).tolist()) if f else set() for f in got
+        ]
 
 
 class TestMaskNameless:

@@ -34,6 +34,7 @@ from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
 from oracles import (
     reference_fit_boosted_trees,
     reference_pair_features,
+    reference_profile,
     reference_raw_score,
     reference_tree_predict,
 )
@@ -595,8 +596,6 @@ class TestSamplePairs:
 def nested_loop_sample(ds, split, cap, seed, counts, schema, source=None):
     """sample_pairs as a nested loop over each block's members, featurized
     pair by pair with reference_pair_features."""
-    from andlib.features import SignatureProfile
-
     candidates = []
     for block in build_blocks(ds):
         if ds.splits.get(block.key) != split:
@@ -611,8 +610,8 @@ def nested_loop_sample(ds, split, cap, seed, counts, schema, source=None):
     rows = []
     for a, b in chosen:
         values = reference_pair_features(
-            SignatureProfile(feat.signatures[a], feat),
-            SignatureProfile(feat.signatures[b], feat),
+            reference_profile(feat.signatures[a], feat),
+            reference_profile(feat.signatures[b], feat),
             counts,
         )
         rows.append([values[name] for name in schema.names])
@@ -832,6 +831,41 @@ class TestSerialization:
         assert np.array_equal(
             ens.predict_from_features(probe), loaded.predict_from_features(probe)
         )
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [(-np.inf, 1.0), (-np.inf, np.inf), (-np.finfo(np.float64).max, -1e308)],
+        ids=["neg_inf_to_one", "neg_inf_to_inf", "midpoint_overflows"],
+    )
+    def test_cut_above_neg_inf_saves_and_loads(self, tmp_path, low, high):
+        # the best cut lies between the two values; a threshold of -inf
+        # (their mean, or the lower value) could be saved but not loaded
+        X = np.repeat([[low], [high]], 20, axis=0)
+        y = np.repeat([0.0, 1.0], 20)
+        schema = toy_schema(1)
+        model = train_gbt(X, y, SMALL_HP, (0,), 0, schema)
+        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+        assert thresholds.size and np.isfinite(thresholds).all()
+        assert ((low <= thresholds) & (thresholds < high)).all()
+        path = tmp_path / "model.json"
+        save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
+        loaded, _ = load_ensemble(path, expected_schema=schema)
+        assert np.array_equal(loaded.predict_from_features(X), model.predict_proba(X))
+        assert (model.predict_proba(X[:20]) < 0.5).all() and (model.predict_proba(X[20:]) > 0.5).all()
+
+    def test_no_cut_between_neg_inf_and_lowest_float(self, tmp_path):
+        # no finite threshold separates -inf from -max float, so that cut is
+        # never taken; the model splits on the other column instead
+        lowest = -np.finfo(np.float64).max
+        X = np.column_stack([np.repeat([-np.inf, lowest], 20), np.repeat([0.0, 1.0], 20)])
+        X[::7, 1] = 0.5  # a worse but finite cut
+        y = np.repeat([0.0, 1.0], 20)
+        schema = toy_schema(2)
+        model = train_gbt(X, y, SMALL_HP, (0, 0), 0, schema)
+        assert all((t.feature[t.feature >= 0] == 1).all() for t in model.trees)
+        path = tmp_path / "model.json"
+        save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
+        load_ensemble(path, expected_schema=schema)
 
     def test_refuses_wrong_schema(self, tmp_path):
         X, y = separable_problem(n=60)
