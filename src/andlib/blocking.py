@@ -48,20 +48,12 @@ class Block:
         return len(self.members)
 
 
-#: str.translate table dropping each ASCII character that is neither
-#: alphanumeric nor whitespace
-_ASCII_DROP = {i: None for i in range(128) if not (chr(i).isalnum() or chr(i).isspace())}
-
-
 def fold_text(text: str) -> str:
     """Fold to lowercase ASCII-ish text: strip diacritics, drop punctuation,
     collapse whitespace. Idempotent."""
-    if text.isascii():  # nothing to decompose, no combining marks
-        kept = text.translate(_ASCII_DROP)
-    else:
-        decomposed = unicodedata.normalize("NFKD", text)
-        no_marks = "".join(c for c in decomposed if not unicodedata.combining(c))
-        kept = "".join(c for c in no_marks if c.isalnum() or c.isspace())
+    decomposed = unicodedata.normalize("NFKD", text)
+    no_marks = "".join(c for c in decomposed if not unicodedata.combining(c))
+    kept = "".join(c for c in no_marks if c.isalnum() or c.isspace())
     return " ".join(kept.lower().split())
 
 

@@ -345,14 +345,15 @@ def _author_key(folded: str) -> str:
 
 
 #: (n, k) of every n-gram, n in 2..4, that holds a joining space at its
-#: offset k, and its slice of the 7 characters around that space
+#: offset k
 _CROSSING = tuple((n, k) for n in (2, 3, 4) for k in range(n))
-_WINDOW = tuple(slice(3 - k, 3 - k + n) for n, k in _CROSSING)
 
 
 class Vocabulary:
     """Integer ids for strings, in first-seen order: uint16 while the
-    vocabulary holds at most 65,536 strings, int32 after that.
+    vocabulary holds at most 65,536 strings, int32 after that. A PaperGrams
+    table keeps its ids for a whole scoring call: with int32 ids, peak RSS
+    of a cluster-many bench run was 0.5 MB higher.
 
     Ids depend on set iteration order, and so on the string hash seed, but
     only equal and distinct ids are ever compared, so no result does.
@@ -411,17 +412,12 @@ class PaperGrams:
                 end = len(joined)
                 # the index of each joining space
                 spaces = [q - 1 for q in itertools.accumulate(len(e) + 1 for e, _ in parts[:-1])]
-                if 3 <= spaces[0] and spaces[-1] <= end - 4:
-                    # every space has 3 characters on either side
-                    windows = [joined[p - 3 : p + 4] for p in spaces]
-                    crossing = {w[cut] for w in windows for cut in _WINDOW}
-                else:
-                    crossing = {
-                        joined[p - k : p - k + n]
-                        for p in spaces
-                        for n, k in _CROSSING
-                        if k <= p and p - k + n <= end
-                    }
+                crossing = {
+                    joined[p - k : p - k + n]
+                    for p in spaces
+                    for n, k in _CROSSING
+                    if k <= p and p - k + n <= end
+                }
                 family.append(self.vocab.intern(crossing))
             out.append(family)
         return out
@@ -806,11 +802,14 @@ def featurize_pairs(
 GRAM_CHUNK_BYTES = 1 << 22
 
 # Rows of a Gram product's indicator are padded with zeros to a multiple of
-# this. numpy's OpenBLAS splits a product among threads, and on a 2-vCPU
-# machine a product of 24 to 38 rows often left the calling thread waiting
-# 8-120 ms for the other (one product took 16 ms where it needs 0.05 ms);
-# in a scan of 11 to 257 rows and 300 to 10,000 columns no padded product
-# stalled, and the padded scan took less time in total (440 vs 532 ms).
+# this, and a product stacks as many families as fit in this many rows
+# (_compute_features). numpy's OpenBLAS splits a product among threads, and
+# on a 2-vCPU machine a product of 24 to 38 rows often left the calling
+# thread waiting 8-120 ms for the other (one product took 16 ms where it
+# needs 0.05 ms); in a scan of 11 to 257 rows and 300 to 10,000 columns the
+# padded scan took less time in total (440 vs 532 ms). Padding does not end
+# the stalls: the first (256, 55) product of a fresh process took 7.7 ms
+# against 0.2 ms when repeated.
 GRAM_ROW_ALIGN = 64
 
 _FEATURE_NAMES = frozenset(f.name for f in _DEFAULT_FEATURES)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import unicodedata
 from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -698,16 +697,6 @@ def textbook_jaro_winkler(a: str, b: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def reference_fold_text(text: str) -> str:
-    """blocking.fold_text without its ASCII shortcut: NFKD, drop combining
-    marks, keep alphanumerics and whitespace, lowercase, collapse
-    whitespace."""
-    decomposed = unicodedata.normalize("NFKD", text)
-    no_marks = "".join(c for c in decomposed if not unicodedata.combining(c))
-    kept = "".join(c for c in no_marks if c.isalnum() or c.isspace())
-    return " ".join(kept.lower().split())
-
-
 def reference_char_grams(text: str, lo: int, hi: int) -> frozenset[str]:
     """features.char_grams as a loop over lengths and starts: the union of
     the contiguous n-grams of the lowercased text for n in [lo, hi]."""
@@ -740,7 +729,7 @@ def reference_profile(sig: Signature, dataset: Dataset) -> SimpleNamespace:
     names: set[str] = set()
     joined: list[str] = []
     for raw in coauthors:
-        folded = reference_fold_text(raw)
+        folded = blocking.fold_text(raw)
         if not folded:
             continue
         parts = folded.split()
@@ -752,7 +741,7 @@ def reference_profile(sig: Signature, dataset: Dataset) -> SimpleNamespace:
     prof.coauthor_grams = reference_char_grams(" ".join(joined), 2, 4) if joined else frozenset()
 
     prof.affiliation_grams = (
-        word_grams(reference_fold_text(" ".join(sig.affiliations)), 1, 3)
+        word_grams(blocking.fold_text(" ".join(sig.affiliations)), 1, 3)
         if sig.affiliations
         else None
     )
@@ -786,7 +775,7 @@ def reference_profile(sig: Signature, dataset: Dataset) -> SimpleNamespace:
             if ref is None:
                 continue
             for raw in ref.author_names:
-                folded = reference_fold_text(raw)
+                folded = blocking.fold_text(raw)
                 if not folded:
                     continue
                 authors.append(folded)

