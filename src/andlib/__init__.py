@@ -5,7 +5,6 @@ from .blocking import Block, NormalizedName, block_key, build_blocks, normalize_
 from .cluster import (
     ClusterParams,
     DistanceMatrix,
-    NameRules,
     cluster_corpus,
     dbscan_cluster,
     distance_matrix,

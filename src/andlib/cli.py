@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import blocking, cluster, metrics, model, pipeline
-from .cluster import ClusterParams, NameRules
+from .cluster import ClusterParams
 from .corpus import (
     Dataset,
     build_name_counts,
@@ -251,17 +251,9 @@ def cmd_cluster(args) -> int:
         eps=args.eps if args.eps is not None else stored.get("eps", 0.5),
         method=args.method or stored.get("method", "hac"),
         dbscan_min_samples=stored.get("dbscan_min_samples", 2),
+        name_rules=not args.no_name_rules,
     )
-    rules = NameRules(enabled=not args.no_name_rules)
-    pred = cluster.cluster_corpus(
-        dataset,
-        ens,
-        params,
-        counts,
-        ens.schema,
-        rules=rules,
-        jobs=args.jobs,
-    )
+    pred = cluster.cluster_corpus(dataset, ens, params, counts, jobs=args.jobs)
     out_path = os.path.join(args.out, "clusters.json")
     with _writing():
         os.makedirs(args.out, exist_ok=True)
@@ -272,7 +264,7 @@ def cmd_cluster(args) -> int:
             "linkage": params.linkage,
             "eps": params.eps,
             "method": params.method,
-            "name_rules": rules.enabled,
+            "name_rules": params.name_rules,
         },
         args.out,
         "resolved_config.json",

@@ -36,18 +36,13 @@ SCORE_BATCH_PAIRS = 8192
 
 
 @dataclass(frozen=True)
-class NameRules:
-    """Cannot-link configuration for incompatible full first names."""
-
-    enabled: bool = True
-
-
-@dataclass(frozen=True)
 class ClusterParams:
     linkage: str = "average"
     eps: float = 0.5
     method: str = "hac"
     dbscan_min_samples: int = 2
+    # veto merges of records with incompatible full first names
+    name_rules: bool = True
 
     def __post_init__(self):
         if self.linkage not in LINKAGES:
@@ -79,17 +74,18 @@ def distance_matrix(
     block: Block,
     p: np.ndarray,
     dataset: Dataset,
-    rules: NameRules = NameRules(),
+    name_rules: bool = True,
 ) -> DistanceMatrix:
     """One block's distances from the same-author probabilities ``p`` of its
-    ``triu_indices(n, k=1)`` pairs, with the first-name vetoes applied."""
+    ``triu_indices(n, k=1)`` pairs, with the first-name vetoes applied
+    when ``name_rules`` is on."""
     n = len(block.members)
     d = np.zeros((n, n), dtype=np.float64)
     veto = np.zeros((n, n), dtype=bool)
     if n > 1:
         ii, jj = np.triu_indices(n, k=1)
         d[ii, jj] = d[jj, ii] = 1.0 - p
-        if rules.enabled:
+        if name_rules:
             firsts = [dataset.signatures[m].name.first for m in block.members]
             # names_compatible once per pair of distinct first names, then
             # one gather; a name is compatible with itself, so the diagonal
@@ -131,8 +127,7 @@ def distance_matrices(
     classifier: EnsembleClassifier,
     dataset: Dataset,
     counts: NameCountsTable,
-    schema: FeatureSchema,
-    rules: NameRules = NameRules(),
+    name_rules: bool = True,
 ) -> list[DistanceMatrix]:
     """Pairwise not-same-author distances for each block, in order.
 
@@ -141,15 +136,16 @@ def distance_matrices(
     call, so each cited paper is n-grammed once; the ensemble then scores a
     whole group of blocks in one call.
     """
-    classifier.check_hash(schema)
     grams = features.PaperGrams(dataset)
     out: list[DistanceMatrix] = []
     for group in _score_groups(blocks):
-        X = np.concatenate([_block_features(b, dataset, counts, schema, grams) for b in group])
+        X = np.concatenate(
+            [_block_features(b, dataset, counts, classifier.schema, grams) for b in group]
+        )
         p = classifier.predict_from_features(X)
         bounds = np.cumsum([_n_pairs(b) for b in group])[:-1]
         for block, p_block in zip(group, np.split(p, bounds)):
-            out.append(distance_matrix(block, p_block, dataset, rules))
+            out.append(distance_matrix(block, p_block, dataset, name_rules))
     return out
 
 
@@ -307,39 +303,31 @@ def tune_eps(
     classifier: EnsembleClassifier,
     dataset: Dataset,
     counts: NameCountsTable,
-    schema: FeatureSchema,
     gold: Partition,
-    linkage: str = "average",
+    params: ClusterParams = ClusterParams(),
     budget: int = 24,
     seed: int = 0,
-    rules: NameRules = NameRules(),
-    method: str = "hac",
-    dbscan_min_samples: int = 2,
 ) -> tuple[float, float]:
     """Seeded random search (with local refinement) for the merge threshold,
-    maximizing B-cubed F1 over the validation blocks."""
+    maximizing B-cubed F1 over the validation blocks; every other setting
+    comes from ``params``, whose own eps is not read."""
     from .metrics import b3
 
     if budget < 1:
         raise ConfigError("eps search budget must be >= 1")
     if not val_blocks:
         raise ConfigError("no validation blocks to tune on")
-    matrices = distance_matrices(val_blocks, classifier, dataset, counts, schema, rules)
+    matrices = distance_matrices(val_blocks, classifier, dataset, counts, params.name_rules)
     members = [m for b in val_blocks for m in b.members]
     gold_sub = gold.restrict(members)
     if len(gold_sub) != len(members):
         raise ConfigError("gold partition does not cover the validation blocks")
 
     def score(eps: float) -> float:
+        trial = replace(params, eps=eps)
         assignment: dict[str, str] = {}
         for bi, D in enumerate(matrices):
-            params = ClusterParams(
-                linkage=linkage,
-                eps=eps,
-                method=method,
-                dbscan_min_samples=dbscan_min_samples,
-            )
-            part = cluster_block(D, params)
+            part = cluster_block(D, trial)
             for sig_id, local in part.assignment.items():
                 assignment[sig_id] = f"{bi}:{local}"
         return b3(Partition(assignment), gold_sub).f1
@@ -381,8 +369,8 @@ def _cluster_one(D: DistanceMatrix, params: ClusterParams) -> Partition:
 
 def _cluster_group(group: list[Block], state: tuple | None = None) -> list[Partition]:
     """Score and cluster one group; ``state`` defaults to a pool worker's."""
-    classifier, dataset, counts, schema, rules, params = state or _WORKER_STATE["args"]
-    matrices = distance_matrices(group, classifier, dataset, counts, schema, rules)
+    classifier, dataset, counts, params = state or _WORKER_STATE["args"]
+    matrices = distance_matrices(group, classifier, dataset, counts, params.name_rules)
     return [_cluster_one(D, params) for D in matrices]
 
 
@@ -391,8 +379,6 @@ def cluster_corpus(
     classifier: EnsembleClassifier,
     params: ClusterParams,
     counts: NameCountsTable,
-    schema: FeatureSchema,
-    rules: NameRules = NameRules(),
     blocks: Sequence[Block] | None = None,
     jobs: int = 1,
 ) -> Partition:
@@ -405,7 +391,7 @@ def cluster_corpus(
     if blocks is None:
         blocks = blocking.build_blocks(dataset)
     groups = _score_groups(blocks)
-    state = (classifier, dataset, counts, schema, rules, params)
+    state = (classifier, dataset, counts, params)
     if jobs > 1 and len(groups) > 1:
         import multiprocessing
 

@@ -350,10 +350,7 @@ _CROSSING = tuple((n, k) for n in (2, 3, 4) for k in range(n))
 
 
 class Vocabulary:
-    """Integer ids for strings, in first-seen order: uint16 while the
-    vocabulary holds at most 65,536 strings, int32 after that. A PaperGrams
-    table keeps its ids for a whole scoring call: with int32 ids, peak RSS
-    of a cluster-many bench run was 0.5 MB higher.
+    """Integer ids for strings, in first-seen order, as int32 arrays.
 
     Ids depend on set iteration order, and so on the string hash seed, but
     only equal and distinct ids are ever compared, so no result does.
@@ -369,9 +366,7 @@ class Vocabulary:
         new = values.difference(ids)
         if new:
             ids.update(zip(new, range(len(ids), len(ids) + len(new))))
-        # the smallest type that holds every id yet given out
-        dtype = np.uint16 if len(ids) <= 1 << 16 else np.int32
-        return np.fromiter(map(ids.__getitem__, values), dtype=dtype, count=len(values))
+        return np.fromiter(map(ids.__getitem__, values), dtype=np.int32, count=len(values))
 
 
 class PaperGrams:

@@ -200,17 +200,6 @@ class Tree:
             "value": self.value.tolist(),
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(doc["feature"], dtype=np.int32),
-            threshold=np.asarray(doc["threshold"], dtype=np.float64),
-            left=np.asarray(doc["left"], dtype=np.int32),
-            right=np.asarray(doc["right"], dtype=np.int32),
-            default_left=np.asarray(doc["default_left"], dtype=bool),
-            value=np.asarray(doc["value"], dtype=np.float64),
-        )
-
 
 @dataclass
 class TreeEnsembleModel:
@@ -219,7 +208,6 @@ class TreeEnsembleModel:
     trees: list[Tree]
     learning_rate: float
     base_score: float
-    schema_hash: str
     constraints: tuple[int, ...]
 
     def raw_score(self, X: np.ndarray) -> np.ndarray:
@@ -625,7 +613,6 @@ def fit_boosted_trees(
     hp: HyperParams,
     constraints: Sequence[int],
     seed: int,
-    schema_hash: str = "",
 ) -> TreeEnsembleModel:
     """Fit the ensemble on a feature matrix with NaN missing values."""
     X = np.asarray(X, dtype=np.float64)
@@ -687,6 +674,5 @@ def fit_boosted_trees(
         trees=trees,
         learning_rate=hp.learning_rate,
         base_score=base_score,
-        schema_hash=schema_hash,
         constraints=tuple(int(c) for c in constraints),
     )

@@ -133,9 +133,7 @@ def train_gbt(
         raise SchemaMismatchError(
             f"pair vectors have {X.shape[1]} slots, schema has {len(schema)}"
         )
-    return fit_boosted_trees(
-        X, y, hp, constraints, seed, schema_hash=schema.schema_hash
-    )
+    return fit_boosted_trees(X, y, hp, constraints, seed)
 
 
 @dataclass
@@ -145,7 +143,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     medians: np.ndarray
-    schema_hash: str
 
     def raw_score(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -163,7 +160,6 @@ def train_linear(
     X: np.ndarray,
     y: np.ndarray,
     regularization: float = 1e-3,
-    schema: FeatureSchema | None = None,
 ) -> LinearModel:
     """Fit the logistic baseline by Newton iteration (deterministic)."""
     pos = y.sum()
@@ -202,12 +198,7 @@ def train_linear(
         b -= float(step[d])
     weights = w / sd
     bias = b - float(np.dot(weights, mu))
-    return LinearModel(
-        weights=weights,
-        bias=bias,
-        medians=medians,
-        schema_hash=schema.schema_hash if schema is not None else "",
-    )
+    return LinearModel(weights=weights, bias=bias, medians=medians)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +218,6 @@ class EnsembleClassifier:
     nameless_model: TreeEnsembleModel | LinearModel | None
     schema: FeatureSchema
 
-    @property
-    def schema_hash(self) -> str:
-        return self.schema.schema_hash
-
     def predict_from_features(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         p_full = self.full_model.predict_proba(X)
@@ -239,12 +226,6 @@ class EnsembleClassifier:
         p_nameless = self.nameless_model.predict_proba(mask_nameless(X, self.schema))
         return (p_full + p_nameless) / 2.0
 
-    def check_hash(self, schema: FeatureSchema) -> None:
-        if schema.schema_hash != self.schema.schema_hash:
-            raise SchemaMismatchError(
-                "model was trained on a different feature schema"
-            )
-
 
 def predict_ensemble(
     ens: EnsembleClassifier,
@@ -252,11 +233,9 @@ def predict_ensemble(
     s2: Signature,
     dataset: Dataset,
     counts: NameCountsTable,
-    schema: FeatureSchema,
 ) -> float:
     """Same-author probability for one signature pair."""
-    ens.check_hash(schema)
-    v = featurize_pair(s1, s2, dataset, counts, schema)
+    v = featurize_pair(s1, s2, dataset, counts, ens.schema)
     return float(ens.predict_from_features(v)[0])
 
 
@@ -320,65 +299,80 @@ def _member_to_doc(model) -> dict:
     raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _check_tree(tree: Tree, n_features: int) -> None:
-    """Refuse a tree that ``Tree.predict`` cannot walk to a leaf.
+def _ints(values, lo: int, hi: int) -> list:
+    """``values`` if it is a JSON list of integers in ``[lo, hi)``."""
+    if not (isinstance(values, list) and all(type(v) is int and lo <= v < hi for v in values)):
+        raise ValueError(f"expected a list of integers in [{lo}, {hi})")
+    return values
+
+
+def _reals(values) -> np.ndarray:
+    """A JSON list of finite numbers as float64; a bool is not a number."""
+    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+        raise ValueError("expected a list of numbers")
+    out = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("a number is not finite")
+    return out
+
+
+def _real(value) -> float:
+    return float(_reals([value])[0])
+
+
+def _tree_from_doc(doc: dict, n_features: int) -> Tree:
+    """A stored tree, refused unless ``Tree.predict`` can walk it to a leaf.
 
     Children must come after their parent, as the pre-order layout of a
     fitted tree has them; that also rules out cycles.
     """
-    arrays = (
-        tree.feature, tree.threshold, tree.left, tree.right,
-        tree.default_left, tree.value,
+    n = len(doc["feature"])
+    default_left = doc["default_left"]
+    if not (isinstance(default_left, list) and all(type(v) is bool for v in default_left)):
+        raise ValueError("default_left must be a list of booleans")
+    tree = Tree(
+        feature=np.asarray(_ints(doc["feature"], -1, n_features), dtype=np.int32),
+        threshold=_reals(doc["threshold"]),
+        left=np.asarray(_ints(doc["left"], -1, n), dtype=np.int32),
+        right=np.asarray(_ints(doc["right"], -1, n), dtype=np.int32),
+        default_left=np.asarray(default_left, dtype=bool),
+        value=_reals(doc["value"]),
     )
-    n = len(tree.feature)
-    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+    arrays = (tree.threshold, tree.left, tree.right, tree.default_left, tree.value)
+    if n == 0 or any(len(a) != n for a in arrays):
         raise ValueError("tree arrays are empty or differ in length")
-    if np.any(tree.feature >= n_features):
-        raise ValueError(f"feature index outside the schema's {n_features}")
-    if not (np.all(np.isfinite(tree.threshold)) and np.all(np.isfinite(tree.value))):
-        raise ValueError("a threshold or leaf value is not finite")
     split = tree.feature >= 0
-    leaf = (tree.left == -1) & (tree.right == -1)
-    if np.any(~split & ((tree.feature != -1) | ~leaf)):
+    if np.any(~split & ((tree.left != -1) | (tree.right != -1))):
         raise ValueError("a node is a leaf exactly when its feature is -1")
     nodes = np.arange(n)
     for child in (tree.left, tree.right):
-        if np.any(split & ((child <= nodes) | (child >= n))):
+        if np.any(split & (child <= nodes)):
             raise ValueError("a child index does not come after its parent")
+    return tree
 
 
-def _member_from_doc(doc: dict, schema_hash: str, n_features: int):
+def _member_from_doc(doc: dict, n_features: int):
     kind = doc.get("kind")
     if kind == "gbt":
-        trees = [Tree.from_doc(t) for t in doc["trees"]]
-        for tree in trees:
-            _check_tree(tree, n_features)
-        learning_rate = float(doc["learning_rate"])
-        base_score = float(doc["base_score"])
-        if not np.isfinite([learning_rate, base_score]).all():
-            raise ValueError("learning_rate or base_score is not finite")
+        if not isinstance(doc["trees"], list):
+            raise ValueError("trees must be a list")
+        constraints = _ints(doc["constraints"], -1, 2)
+        if len(constraints) != n_features:
+            raise ValueError(f"{len(constraints)} constraints for {n_features} features")
         return TreeEnsembleModel(
-            trees=trees,
-            learning_rate=learning_rate,
-            base_score=base_score,
-            schema_hash=schema_hash,
-            constraints=tuple(int(c) for c in doc["constraints"]),
+            trees=[_tree_from_doc(t, n_features) for t in doc["trees"]],
+            learning_rate=_real(doc["learning_rate"]),
+            base_score=_real(doc["base_score"]),
+            constraints=tuple(constraints),
         )
     if kind == "linear":
         model = LinearModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            medians=np.asarray(doc["medians"], dtype=np.float64),
-            schema_hash=schema_hash,
+            weights=_reals(doc["weights"]),
+            bias=_real(doc["bias"]),
+            medians=_reals(doc["medians"]),
         )
         if model.weights.shape != (n_features,) or model.medians.shape != (n_features,):
             raise ValueError(f"linear member does not have {n_features} weights")
-        if not (
-            np.all(np.isfinite(model.weights))
-            and np.isfinite(model.bias)
-            and np.all(np.isfinite(model.medians))
-        ):
-            raise ValueError("a linear weight, bias or median is not finite")
         return model
     raise ParseError(f"unknown model kind {kind!r}")
 
@@ -461,9 +455,9 @@ def load_ensemble(
             f"{path}: model schema does not match the requested feature schema"
         )
     try:
-        full = _member_from_doc(doc["full"], schema.schema_hash, len(schema))
+        full = _member_from_doc(doc["full"], len(schema))
         nameless = (
-            _member_from_doc(doc["nameless"], schema.schema_hash, len(schema))
+            _member_from_doc(doc["nameless"], len(schema))
             if doc.get("nameless") is not None
             else None
         )

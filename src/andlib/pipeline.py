@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import blocking, cluster, metrics, model
-from .cluster import ClusterParams, NameRules
+from .cluster import ClusterParams
 from .corpus import (
     Dataset,
     KNOCKOUT_GROUPS,
@@ -177,11 +177,9 @@ def gbt_constraints(cfg: RunConfig, schema: FeatureSchema) -> tuple[int, ...]:
 @dataclass
 class TrainResult:
     classifier: EnsembleClassifier
-    schema: FeatureSchema
     counts: NameCountsTable
     hyperparams: HyperParams | None
     cluster_params: ClusterParams
-    rules: NameRules
     dataset: Dataset  # with splits populated
     report: dict
 
@@ -195,7 +193,7 @@ def _train_member(
     nameless: bool,
 ):
     if cfg.classifier == "linear":
-        return model.train_linear(X, y, regularization=cfg.linear_regularization, schema=schema)
+        return model.train_linear(X, y, regularization=cfg.linear_regularization)
     seed = cfg.seed + (1 if nameless else 0)
     return model.train_gbt(X, y, hp, gbt_constraints(cfg, schema), seed, schema)
 
@@ -309,41 +307,25 @@ def train_pipeline(
             ens.predict_from_features(val.X), yv_int
         )
 
-    rules = NameRules(enabled=cfg.name_rules)
-    val_blocks = [b for b in blocks if dataset.splits.get(b.key) == "val"]
-    if cfg.eps is not None:
-        eps, val_b3 = cfg.eps, None
-    else:
-        eps, val_b3 = cluster.tune_eps(
-            val_blocks,
-            ens,
-            dataset,
-            counts,
-            schema,
-            dataset.gold,
-            linkage=cfg.linkage,
-            budget=cfg.eps_budget,
-            seed=cfg.seed,
-            rules=rules,
-            method=cfg.method,
-            dbscan_min_samples=cfg.dbscan_min_samples,
-        )
-        report["val_b3_f1"] = val_b3
-    report["eps"] = eps
-
     params = ClusterParams(
         linkage=cfg.linkage,
-        eps=eps,
         method=cfg.method,
         dbscan_min_samples=cfg.dbscan_min_samples,
+        name_rules=cfg.name_rules,
     )
+    if cfg.eps is not None:
+        eps = cfg.eps
+    else:
+        val_blocks = [b for b in blocks if dataset.splits.get(b.key) == "val"]
+        eps, report["val_b3_f1"] = cluster.tune_eps(
+            val_blocks, ens, dataset, counts, dataset.gold, params, cfg.eps_budget, cfg.seed
+        )
+    report["eps"] = eps
     return TrainResult(
         classifier=ens,
-        schema=schema,
         counts=counts,
         hyperparams=hp,
-        cluster_params=params,
-        rules=rules,
+        cluster_params=dataclasses.replace(params, eps=eps),
         dataset=dataset,
         report=report,
     )
@@ -362,8 +344,6 @@ def cluster_split(
         result.classifier,
         result.cluster_params,
         result.counts,
-        result.schema,
-        rules=result.rules,
         blocks=blocks,
         jobs=jobs,
     )

@@ -623,7 +623,6 @@ def reference_fit_boosted_trees(
         trees=trees,
         learning_rate=hp.learning_rate,
         base_score=base_score,
-        schema_hash="",
         constraints=tuple(int(c) for c in constraints),
     )
 

@@ -121,8 +121,6 @@ def _full_corpus_b3(result, dataset, counts) -> float:
         result.classifier,
         result.cluster_params,
         counts,
-        result.schema,
-        rules=result.rules,
     )
     return b3(pred, dataset.gold).f1
 
@@ -290,7 +288,7 @@ def test_criterion_04_coarsening():
 def test_criterion_05_monotone_enforcement(ablation_matrix, hard_corpus):
     ds, counts = hard_corpus
     result = ablation_matrix["baseline"]["result"]
-    schema = result.schema
+    schema = result.classifier.schema
     model = result.classifier.full_model
     assert model.constraints[schema.index("year_diff")] == -1
     assert model.constraints[schema.index("embedding_cosine")] == +1
@@ -355,7 +353,7 @@ def test_criterion_07_ensemble_contract(ablation_matrix, hard_corpus):
     ds, counts = hard_corpus
     result = ablation_matrix["baseline"]["result"]
     ens = result.classifier
-    schema = result.schema
+    schema = result.classifier.schema
     X = sample_pairs(result.dataset, "train", 1000, 777, counts, schema).X
 
     masked = mask_nameless(X, schema)
@@ -478,10 +476,10 @@ def test_criterion_11_name_rule(ablation_matrix):
     counts = build_name_counts(traps)
     result = ablation_matrix["baseline"]["result"]
     # a generous eps invites wrong merges; the veto must still hold
-    params = ClusterParams(linkage="average", eps=0.95)
-    pred = cluster_corpus(
-        traps, result.classifier, params, counts, result.schema, rules=result.rules
+    params = ClusterParams(
+        linkage="average", eps=0.95, name_rules=result.cluster_params.name_rules
     )
+    pred = cluster_corpus(traps, result.classifier, params, counts)
     violations = 0
     trap_pairs = 0
     for members in pred.clusters().values():
@@ -525,8 +523,6 @@ def test_criterion_12_facet_bookkeeping(ablation_matrix, hard_corpus):
         result.classifier,
         result.cluster_params,
         counts,
-        result.schema,
-        rules=result.rules,
     )
     gold = result.dataset.gold
     overall = b3(pred, gold).f1

@@ -11,7 +11,9 @@ import pytest
 
 import andlib
 from andlib import model, pipeline
+from andlib.blocking import build_blocks
 from andlib.cli import main
+from andlib.cluster import names_compatible
 from andlib.corpus import NameCountsTable, load_dataset, load_partition, save_name_counts
 
 FAST_TRAIN = [
@@ -138,6 +140,33 @@ class TestCluster:
                     "--model", trained_dir / "model.json", "--eps", 0]) == 0
         pred = load_partition(out / "clusters.json")
         assert len(pred.clusters()) == len(pred.assignment)
+
+    def test_no_name_rules_lets_incompatible_names_merge(
+        self, corpus_dir, trained_dir, tmp_path
+    ):
+        ds = load_dataset(corpus_dir / "papers.json", corpus_dir / "signatures.json")
+        first = {k: s.name.first for k, s in ds.signatures.items()}
+
+        def incompatible_pairs(groups) -> int:
+            return sum(
+                not names_compatible(first[a], first[b])
+                for members in groups
+                for i, a in enumerate(members)
+                for b in members[i + 1:]
+            )
+
+        # the corpus must block together names the rule keeps apart
+        assert incompatible_pairs([b.members for b in build_blocks(ds)]) > 0
+        for flags, rules in (([], True), (["--no-name-rules"], False)):
+            out = tmp_path / str(rules)
+            # at eps 1 every block would merge whole but for the vetoes
+            assert run(["cluster", "--data", corpus_dir, "--out", out, "--eps", 1.0,
+                        "--model", trained_dir / "model.json", *flags]) == 0
+            pred = load_partition(out / "clusters.json")
+            clusters = [sorted(c) for c in pred.clusters().values()]
+            assert (incompatible_pairs(clusters) > 0) is not rules
+            resolved = json.loads((out / "resolved_config.json").read_text())
+            assert resolved["name_rules"] is rules
 
 
 class TestEval:
@@ -396,6 +425,20 @@ def set_author(key, value, position):
     return edit
 
 
+def set_tree(key, value, node=0):
+    """Set one node's entry of the full member's first tree; ``node`` is an
+    index or "leaf" for the first leaf."""
+    def edit(doc):
+        tree = doc["full"]["trees"][0]
+        assert tree["feature"][0] >= 0
+        tree[key][tree["feature"].index(-1) if node == "leaf" else node] = value
+    return edit
+
+
+def set_member(key, value):
+    return lambda doc: doc["full"].__setitem__(key, value)
+
+
 def eval_argv(data, tmp_path):
     return ["eval", "--data", data, "--pred", data / "papers.json",
             "--out", tmp_path / "o"]
@@ -578,6 +621,30 @@ class TestTypedErrors:
                            "bias": 0.0, "medians": [0.0] * n}
 
         self.cluster_with_model(corpus_dir, trained_dir, tmp_path, nan_linear)
+
+    @pytest.mark.parametrize("edit", [
+        set_tree("feature", 1.5),
+        set_tree("left", 1.5),
+        set_tree("default_left", "no"),
+        set_tree("threshold", "0.5"),
+        set_tree("value", True, "leaf"),
+        set_member("learning_rate", "0.1"),
+        set_member("base_score", True),
+        lambda doc: doc["full"]["constraints"].__setitem__(0, "1"),
+        lambda doc: doc["full"]["constraints"].pop(),
+        lambda doc: doc.__setitem__("full", {
+            "kind": "linear", "bias": 0.0,
+            "weights": ["1"] + [0.0] * (len(doc["schema"]["features"]) - 1),
+            "medians": [0.0] * len(doc["schema"]["features"]),
+        }),
+        set_member("trees", {}),
+    ], ids=["fractional_feature", "fractional_child", "string_default_left",
+            "string_threshold", "boolean_leaf_value", "string_learning_rate",
+            "boolean_base_score", "string_constraint", "constraints_too_short",
+            "string_linear_weight", "trees_object"])
+    def test_model_with_mistyped_member(self, corpus_dir, trained_dir, tmp_path, edit):
+        # each of these used to load: numpy converted or truncated the value
+        self.cluster_with_model(corpus_dir, trained_dir, tmp_path, edit)
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["cluster_params"].update({"eps": "x"}),

@@ -8,7 +8,6 @@ from andlib.blocking import Block, build_blocks
 from andlib.cluster import (
     ClusterParams,
     DistanceMatrix,
-    NameRules,
     cluster_corpus,
     dbscan_cluster,
     distance_matrices,
@@ -246,7 +245,7 @@ class TestDistanceMatrix:
     def test_complement_and_symmetry(self, trained):
         ds, ens, counts, schema = trained
         blocks = [b for b in build_blocks(ds) if len(b.members) >= 3]
-        D = distance_matrices([blocks[0]], ens, ds, counts, schema)[0]
+        D = distance_matrices([blocks[0]], ens, ds, counts)[0]
         n = len(blocks[0].members)
         assert D.d.shape == (n, n)
         assert np.array_equal(D.d, D.d.T)
@@ -300,7 +299,7 @@ class TestDistanceMatrix:
                     len(a[-1].members) > 2 and len(b[0].members) > 2
                     for a, b in zip(groups, groups[1:])
                 )
-            matrices = distance_matrices(blocks, ens, ds, counts, schema)
+            matrices = distance_matrices(blocks, ens, ds, counts)
             assert [D.block for D in matrices] == blocks
             for D, (want, want_veto) in zip(matrices, reference):
                 assert np.array_equal(D.d, want)
@@ -309,7 +308,7 @@ class TestDistanceMatrix:
     def test_singleton(self, trained):
         ds, ens, counts, schema = trained
         block = Block("solo", (sorted(ds.signatures)[0],))
-        D = distance_matrices([block], ens, ds, counts, schema)[0]
+        D = distance_matrices([block], ens, ds, counts)[0]
         assert D.d.shape == (1, 1) and D.d[0, 0] == 0.0
 
     def test_incompatible_names_overridden(self, trained):
@@ -323,7 +322,7 @@ class TestDistanceMatrix:
                 ).first
                 for m in block.members
             ]
-            D = distance_matrices([block], ens, ds, counts, schema)[0]
+            D = distance_matrices([block], ens, ds, counts)[0]
             for i in range(len(names)):
                 for j in range(i + 1, len(names)):
                     if names[i] and names[j] and not names_compatible(names[i], names[j]):
@@ -333,9 +332,7 @@ class TestDistanceMatrix:
     def test_rules_disabled(self, trained):
         ds, ens, counts, schema = trained
         for block in build_blocks(ds):
-            D = distance_matrices(
-                [block], ens, ds, counts, schema, rules=NameRules(enabled=False)
-            )[0]
+            D = distance_matrices([block], ens, ds, counts, name_rules=False)[0]
             assert not D.veto.any()
 
 
@@ -346,10 +343,10 @@ class TestTuneEps:
             b for b in build_blocks(ds) if ds.splits.get(b.key) == "val"
         ]
         eps1, f1_a = tune_eps(
-            val_blocks, ens, ds, counts, schema, ds.gold, budget=1, seed=5
+            val_blocks, ens, ds, counts, ds.gold, budget=1, seed=5
         )
         eps2, f1_b = tune_eps(
-            val_blocks, ens, ds, counts, schema, ds.gold, budget=1, seed=5
+            val_blocks, ens, ds, counts, ds.gold, budget=1, seed=5
         )
         assert eps1 == eps2 and f1_a == f1_b
 
@@ -359,10 +356,10 @@ class TestTuneEps:
         block = blocks[0]
         gold = Partition({m: f"solo{i}" for i, m in enumerate(block.members)})
         eps, f1 = tune_eps(
-            [block], ens, ds, counts, schema, gold, budget=30, seed=0
+            [block], ens, ds, counts, gold, budget=30, seed=0
         )
         part = hac_cluster(
-            distance_matrices([block], ens, ds, counts, schema)[0], "average", eps
+            distance_matrices([block], ens, ds, counts)[0], "average", eps
         )
         assert f1 == 1.0
         assert len(part.clusters()) == len(block.members)
@@ -373,10 +370,10 @@ class TestTuneEps:
             b for b in build_blocks(ds) if ds.splits.get(b.key) == "val"
         ]
         eps, best = tune_eps(
-            val_blocks, ens, ds, counts, schema, ds.gold, budget=40, seed=2
+            val_blocks, ens, ds, counts, ds.gold, budget=40, seed=2
         )
         matrices = [
-            distance_matrices([b], ens, ds, counts, schema)[0] for b in val_blocks
+            distance_matrices([b], ens, ds, counts)[0] for b in val_blocks
         ]
         from andlib.metrics import b3
 
@@ -390,40 +387,60 @@ class TestTuneEps:
                     assignment[sig] = f"{bi}:{local}"
             assert best >= b3(Partition(assignment), gold_sub).f1 - 1e-12
 
+    def test_every_setting_but_eps_comes_from_params(self, trained):
+        from dataclasses import replace
+
+        from andlib.metrics import b3
+
+        ds, ens, counts, schema = trained
+        val_blocks = [b for b in build_blocks(ds) if ds.splits.get(b.key) == "val"]
+        params = ClusterParams(
+            linkage="single", eps=0.0, method="dbscan", dbscan_min_samples=3,
+            name_rules=False,
+        )
+        eps, f1 = tune_eps(val_blocks, ens, ds, counts, ds.gold, params, budget=6, seed=3)
+        matrices = distance_matrices(val_blocks, ens, ds, counts, name_rules=False)
+        assignment = {}
+        for bi, D in enumerate(matrices):
+            part = cluster.cluster_block(D, replace(params, eps=eps))
+            for sig, local in part.assignment.items():
+                assignment[sig] = f"{bi}:{local}"
+        assert f1 == b3(Partition(assignment), ds.gold.restrict(assignment)).f1
+
     def test_empty_blocks_rejected(self, trained):
         ds, ens, counts, schema = trained
         with pytest.raises(ConfigError):
-            tune_eps([], ens, ds, counts, schema, ds.gold, budget=2, seed=0)
+            tune_eps([], ens, ds, counts, ds.gold, budget=2, seed=0)
 
 
 class TestClusterCorpus:
     def test_every_signature_assigned_once(self, trained):
         ds, ens, counts, schema = trained
         params = ClusterParams(linkage="average", eps=0.5)
-        part = cluster_corpus(ds, ens, params, counts, schema)
+        part = cluster_corpus(ds, ens, params, counts)
         assert set(part.assignment) == set(ds.signatures)
 
     def test_deterministic(self, trained):
         ds, ens, counts, schema = trained
         params = ClusterParams(linkage="average", eps=0.5)
-        a = cluster_corpus(ds, ens, params, counts, schema)
-        b = cluster_corpus(ds, ens, params, counts, schema)
+        a = cluster_corpus(ds, ens, params, counts)
+        b = cluster_corpus(ds, ens, params, counts)
         assert a == b
 
     def test_jobs_do_not_change_result(self, trained):
         ds, ens, counts, schema = trained
         params = ClusterParams(linkage="average", eps=0.5)
-        serial = cluster_corpus(ds, ens, params, counts, schema, jobs=1)
-        parallel = cluster_corpus(ds, ens, params, counts, schema, jobs=2)
+        serial = cluster_corpus(ds, ens, params, counts, jobs=1)
+        parallel = cluster_corpus(ds, ens, params, counts, jobs=2)
         assert serial == parallel
 
     def test_jobs_over_several_groups_do_not_change_result(self, trained, monkeypatch):
         ds, ens, counts, schema = trained
         params = ClusterParams(linkage="average", eps=0.5)
-        serial = cluster_corpus(ds, ens, params, counts, schema, jobs=1)
+        serial = cluster_corpus(ds, ens, params, counts, jobs=1)
         monkeypatch.setattr(cluster, "SCORE_BATCH_PAIRS", 60)
         assert len(cluster._score_groups(build_blocks(ds))) > 2
-        assert cluster_corpus(ds, ens, params, counts, schema, jobs=2) == serial
+        assert cluster_corpus(ds, ens, params, counts, jobs=2) == serial
 
     @pytest.mark.parametrize("batch_pairs", [None, 60])
     def test_one_ensemble_predict_per_group(self, trained, batch_pairs, monkeypatch):
@@ -439,7 +456,7 @@ class TestClusterCorpus:
 
         monkeypatch.setattr(EnsembleClassifier, "predict_from_features", counting)
         blocks = build_blocks(ds)
-        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts, schema)
+        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts)
         groups = cluster._score_groups(blocks)
         assert len(calls) == len(groups) < len(blocks)
         assert sum(calls) == sum(
@@ -460,7 +477,7 @@ class TestClusterCorpus:
         ds = dataclasses.replace(ds)
         ens = dataclasses.replace(ens)
         refs = [weakref.ref(ds), weakref.ref(ens)]
-        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts, schema, jobs=1)
+        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts, jobs=1)
         del ds, ens
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
@@ -476,20 +493,20 @@ class TestClusterCorpus:
         monkeypatch.setattr(
             blocking, "normalize_name", lambda *args: calls.append(args) or real(*args)
         )
-        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts, schema)
+        cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts)
         build_name_counts(ds)
         assert calls == []
 
     def test_eps_zero_gives_singletons(self, trained):
         ds, ens, counts, schema = trained
         params = ClusterParams(linkage="average", eps=0.0)
-        part = cluster_corpus(ds, ens, params, counts, schema)
+        part = cluster_corpus(ds, ens, params, counts)
         assert len(part.clusters()) == len(ds.signatures)
 
     def test_cluster_ids_globally_unique(self, trained):
         ds, ens, counts, schema = trained
         params = ClusterParams(linkage="single", eps=0.9)
-        part = cluster_corpus(ds, ens, params, counts, schema)
+        part = cluster_corpus(ds, ens, params, counts)
         blocks = build_blocks(ds)
         owner = {}
         for block in blocks:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from andlib.corpus import (
     build_name_counts,
     split_blocks,
 )
-from andlib.errors import ConfigError, ParseError, SchemaMismatchError
+from andlib.errors import AndError, ConfigError, ParseError, SchemaMismatchError
 from andlib.features import FeatureSchema, FeatureSpec, default_schema, mask_nameless
 from andlib.gbt import HyperParams, Tree, TreeEnsembleModel, fit_boosted_trees, sigmoid
 from andlib.model import (
@@ -384,7 +385,7 @@ def _random_forest(seed, n_trees=12, n_features=5, depth=6, **tree_kw):
     trees = [_random_tree(rng, n_features, depth, grid, **tree_kw) for _ in range(n_trees)]
     model = TreeEnsembleModel(
         trees=trees, learning_rate=0.1 + rng.uniform(), base_score=rng.normal(),
-        schema_hash="", constraints=(0,) * n_features,
+        constraints=(0,) * n_features,
     )
     return model, grid
 
@@ -484,7 +485,7 @@ class TestForestKernel:
 class TestPrediction:
     def test_empty_ensemble_is_half(self):
         model = TreeEnsembleModel(
-            trees=[], learning_rate=0.1, base_score=0.0, schema_hash="", constraints=()
+            trees=[], learning_rate=0.1, base_score=0.0, constraints=()
         )
         assert model.predict_proba(np.zeros(0)) == 0.5
 
@@ -503,7 +504,6 @@ class TestPrediction:
             trees=[leaf],
             learning_rate=0.3,
             base_score=0.0,
-            schema_hash="",
             constraints=(0,),
         )
         assert model.predict_proba(np.zeros(1)) == pytest.approx(
@@ -674,9 +674,7 @@ class TestLinearModel:
         assert (pred == y).mean() >= 0.99
 
     def test_zero_weights_give_half(self):
-        model = LinearModel(
-            weights=np.zeros(3), bias=0.0, medians=np.zeros(3), schema_hash=""
-        )
+        model = LinearModel(weights=np.zeros(3), bias=0.0, medians=np.zeros(3))
         assert model.predict_proba(np.full(3, np.nan)) == 0.5
 
     def test_duplicated_dataset_identical_model(self):
@@ -744,27 +742,10 @@ class TestEnsemble:
         nameless = train_gbt(X, y, SMALL_HP, (0,) * len(schema), 1, schema)
         ens = EnsembleClassifier(full, nameless, schema)
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
-        p_ab = predict_ensemble(ens, s1, s2, dataset, counts, schema)
-        p_ba = predict_ensemble(ens, s2, s1, dataset, counts, schema)
+        p_ab = predict_ensemble(ens, s1, s2, dataset, counts)
+        p_ba = predict_ensemble(ens, s2, s1, dataset, counts)
         assert 0.0 < p_ab < 1.0
         assert p_ab == p_ba  # symmetry inherited from the featurizer
-
-    def test_schema_hash_checked(self, pair_fixture):
-        dataset, counts, schema = pair_fixture
-        other = schema.drop(["embedding_cosine"])
-        X = np.random.default_rng(0).uniform(0, 1, (60, len(other)))
-        y = (X[:, 0] > 0.5).astype(float)
-        model = train_gbt(X, y, SMALL_HP, (0,) * len(other), 0, other)
-        ens = EnsembleClassifier(model, None, other)
-        with pytest.raises(SchemaMismatchError):
-            predict_ensemble(
-                ens,
-                dataset.signatures["s1"],
-                dataset.signatures["s2"],
-                dataset,
-                counts,
-                schema,
-            )
 
 
 class TestTuneHyperparameters:
@@ -880,7 +861,7 @@ class TestSerialization:
         X, y = separable_problem(n=60)
         schema = toy_schema(1)
         if linear:
-            model = train_linear(X, y, schema=schema)
+            model = train_linear(X, y)
         else:
             model = train_gbt(X, y, SMALL_HP, (0,), 0, schema)
         path = tmp_path / "model.json"
@@ -966,3 +947,61 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatchError):
             load_ensemble(path)
+
+
+# any JSON value; integers stay within +-2**53, where every one is a double
+# too (RFC 8259, section 6), so a number the loader accepts reads back equal
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**53), 2**53)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _leaf_paths(doc, path=()):
+    """The key path of every scalar in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+
+
+@pytest.fixture(scope="module")
+def small_saved_model(tmp_path_factory):
+    X, y = separable_problem(n=60)
+    schema = toy_schema(1)
+    model = train_gbt(X, y, HyperParams(n_trees=2, max_leaves=3), (0,), 0, schema)
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
+    return path, json.loads(path.read_text())
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_mutated_model_member_loads_as_written_or_raises(small_saved_model, data):
+    # one leaf of the full member becomes any JSON value: the loader either
+    # refuses the file with a typed error or keeps exactly what it read
+    path, doc = small_saved_model
+    where = data.draw(st.sampled_from(_leaf_paths(doc["full"])))
+    mutated = copy.deepcopy(doc)
+    parent = mutated["full"]
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = data.draw(JSON_VALUES)
+    bad = path.with_name("mutated.json")
+    bad.write_text(json.dumps(mutated))
+    try:
+        ens, meta = load_ensemble(bad)
+    except AndError:
+        return
+    again = path.with_name("resaved.json")
+    save_ensemble(again, ens, SMALL_HP, meta["seed"])
+    assert json.loads(again.read_text())["full"] == mutated["full"]
