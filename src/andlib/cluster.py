@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,14 +24,13 @@ from . import blocking, features
 from .blocking import Block
 from .corpus import Dataset, NameCountsTable, Partition
 from .errors import ConfigError
-from .features import FeatureSchema
 from .model import EnsembleClassifier
 
 LINKAGES = ("average", "single", "complete", "ward")
 
-# Pairs the ensemble scores per call: blocks are gathered, whole, until a
-# group holds at least this many, so the per-call cost of tree prediction
-# is paid once per group instead of once per block.
+# Pairs featurized and scored per ensemble call (a band): the per-call cost
+# of tree prediction is paid once per band instead of once per block, and
+# the feature matrix of a band, not of a block, bounds scoring memory.
 SCORE_BATCH_PAIRS = 8192
 
 
@@ -106,7 +105,8 @@ def _n_pairs(block: Block) -> int:
 
 
 def _score_groups(blocks: Sequence[Block]) -> list[list[Block]]:
-    """Consecutive runs of whole blocks, each closed once it holds at least
+    """Consecutive runs of whole blocks, the units of work of
+    ``cluster_corpus(jobs > 1)``, each closed once it holds at least
     ``SCORE_BATCH_PAIRS`` pairs (the last run may hold fewer)."""
     groups: list[list[Block]] = []
     group: list[Block] = []
@@ -129,37 +129,74 @@ def distance_matrices(
     counts: NameCountsTable,
     name_rules: bool = True,
 ) -> list[DistanceMatrix]:
-    """Pairwise not-same-author distances for each block, in order.
-
-    Features are built one block at a time, so only one block's signature
-    profiles are alive at once, against one PaperGrams table for the whole
-    call, so each cited paper is n-grammed once; the ensemble then scores a
-    whole group of blocks in one call.
-    """
-    grams = features.PaperGrams(dataset)
-    out: list[DistanceMatrix] = []
-    for group in _score_groups(blocks):
-        X = np.concatenate(
-            [_block_features(b, dataset, counts, classifier.schema, grams) for b in group]
-        )
-        p = classifier.predict_from_features(X)
-        bounds = np.cumsum([_n_pairs(b) for b in group])[:-1]
-        for block, p_block in zip(group, np.split(p, bounds)):
-            out.append(distance_matrix(block, p_block, dataset, name_rules))
-    return out
+    """Pairwise not-same-author distances for each block, in order
+    (_scored_blocks)."""
+    return list(_scored_blocks(blocks, classifier, dataset, counts, name_rules))
 
 
-def _block_features(
-    block: Block,
+def _triu_band(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``lo`` to ``hi - 1`` of ``triu_indices(n, k=1)``."""
+    row = np.arange(n)
+    start = row * (2 * n - row - 1) // 2  # the position of row i's first pair
+    k = np.arange(lo, hi)
+    a = np.searchsorted(start, k, side="right") - 1
+    return a, k - start[a] + a + 1
+
+
+def _scored_blocks(
+    blocks: Sequence[Block],
+    classifier: EnsembleClassifier,
     dataset: Dataset,
     counts: NameCountsTable,
-    schema: FeatureSchema,
-    grams: features.PaperGrams,
-) -> np.ndarray:
-    """Features of one block's ``triu_indices(n, k=1)`` pairs."""
-    sigs = [dataset.signatures[m] for m in block.members]
-    a, b = np.triu_indices(len(sigs), k=1)
-    return features.featurize_pairs(sigs, a, b, dataset, counts, schema, grams)
+    name_rules: bool,
+) -> Iterator[DistanceMatrix]:
+    """Each block's distance matrix, in order, once all its pairs are scored.
+
+    Pairs are walked in block order, ``triu_indices`` order inside a block,
+    and featurized into one ``(SCORE_BATCH_PAIRS, n_features)`` matrix that
+    every band reuses. Each full band, and the last, shorter one, is one
+    ensemble call, so a band spans many small blocks or holds one slice of
+    a big one. A block's signatures are prepared once, and only one block's
+    are alive at a time, against one PaperGrams table for the whole call, so
+    each cited paper is n-grammed once.
+    """
+    columns = features.schema_columns(classifier.schema)
+    grams = features.PaperGrams(dataset)
+    X = np.empty((min(SCORE_BATCH_PAIRS, sum(map(_n_pairs, blocks))), len(columns)))
+    band: list[tuple] = []  # (p, lo, row, k): p[lo:lo + k] is scored in X[row:row + k]
+    waiting: list[tuple] = []  # (block, p) whose pairs are all in bands
+    rows = 0
+    for block in blocks:
+        n = len(block.members)
+        p = np.empty(n * (n - 1) // 2)
+        if len(p):
+            sigs = [dataset.signatures[m] for m in block.members]
+            prepared = features.PreparedBlock(sigs, dataset, counts, grams)
+            done = 0
+            while done < len(p):
+                k = min(len(p) - done, len(X) - rows)
+                prepared.fill(*_triu_band(n, done, done + k), columns, X[rows : rows + k])
+                band.append((p, done, rows, k))
+                done, rows = done + k, rows + k
+                if rows == len(X):
+                    _score_band(classifier, X, band)
+                    rows = 0
+                    yield from (distance_matrix(*w, dataset, name_rules) for w in waiting)
+                    waiting.clear()
+            del prepared
+        waiting.append((block, p))
+    _score_band(classifier, X[:rows], band)
+    yield from (distance_matrix(*w, dataset, name_rules) for w in waiting)
+
+
+def _score_band(classifier: EnsembleClassifier, X: np.ndarray, band: list[tuple]) -> None:
+    """Score the rows of ``X`` with one ensemble call, write each slice's
+    probabilities into its block's ``p``, and empty ``band``."""
+    if band:
+        q = classifier.predict_from_features(X)
+        for p, lo, row, k in band:
+            p[lo : lo + k] = q[row : row + k]
+        band.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +391,7 @@ def tune_eps(
 # whole-corpus clustering
 # ---------------------------------------------------------------------------
 
-# The arguments of _cluster_group, set in pool worker processes only.
+# The arguments of _cluster_blocks, set in pool worker processes only.
 _WORKER_STATE: dict = {}
 
 
@@ -367,11 +404,12 @@ def _cluster_one(D: DistanceMatrix, params: ClusterParams) -> Partition:
     return cluster_block(D, params)
 
 
-def _cluster_group(group: list[Block], state: tuple | None = None) -> list[Partition]:
-    """Score and cluster one group; ``state`` defaults to a pool worker's."""
+def _cluster_blocks(blocks: Sequence[Block], state: tuple | None = None) -> list[Partition]:
+    """Score and cluster blocks, each as soon as it is scored; ``state``
+    defaults to a pool worker's."""
     classifier, dataset, counts, params = state or _WORKER_STATE["args"]
-    matrices = distance_matrices(group, classifier, dataset, counts, params.name_rules)
-    return [_cluster_one(D, params) for D in matrices]
+    scored = _scored_blocks(blocks, classifier, dataset, counts, params.name_rules)
+    return [_cluster_one(D, params) for D in scored]
 
 
 def cluster_corpus(
@@ -385,22 +423,23 @@ def cluster_corpus(
     """Cluster every block and concatenate with globally unique cluster ids.
 
     Results are independent of ``jobs``: blocks are processed in sorted-key
-    order, workers take whole scoring groups, and each block's clustering
-    is deterministic.
+    order, a pair's score does not depend on the band it is scored in,
+    workers take whole groups of blocks (_score_groups), and each block's
+    clustering is deterministic. A serial run scores all blocks in one
+    walk of bands.
     """
     if blocks is None:
         blocks = blocking.build_blocks(dataset)
-    groups = _score_groups(blocks)
     state = (classifier, dataset, counts, params)
-    if jobs > 1 and len(groups) > 1:
+    groups = _score_groups(blocks) if jobs > 1 else []
+    if len(groups) > 1:
         import multiprocessing
 
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=jobs, initializer=_init_worker, initargs=state) as pool:
-            per_group = pool.map(_cluster_group, groups)
+            parts = [part for group in pool.map(_cluster_blocks, groups) for part in group]
     else:
-        per_group = [_cluster_group(g, state) for g in groups]
-    parts = [part for group_parts in per_group for part in group_parts]
+        parts = _cluster_blocks(blocks, state)
 
     assignment: dict[str, str] = {}
     counter = 0

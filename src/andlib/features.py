@@ -13,16 +13,21 @@ field is absent on either side; no value is silently imputed. The "nameless"
 variant of the vector blanks every feature derived from the focal author's
 own name surface form (co-author names are kept).
 
-featurize_pairs is the one path from signature pairs to a feature matrix.
-It takes pairs as two index arrays into a signature list, treats each call
-as one group, and builds that group's signature profiles for the call only.
-Every feature is computed column-wise over the group's distinct signatures.
-The 13 set-valued fields of a profile are integer gram ids, and every
-set-overlap Jaccard comes from Gram products of 0/1 indicators over them.
-A PaperGrams table, which the scoring call that owns it passes to each
-featurize_pairs call, n-grams each cited paper once; the module keeps no
-state between calls. The bytes equal those of the string-set reference in
-the tests, whatever the string hash seed.
+A PreparedBlock is the one path from signature pairs to a feature matrix.
+It is built once for a block's distinct signatures (their profiles, reduced
+to the per-signature arrays _feature_columns reads and to packed gram rows),
+and then featurizes any band of the block's pairs, given as two index arrays,
+as often as needed; cluster.distance_matrices featurizes and scores pairs in
+bands of at most cluster.SCORE_BATCH_PAIRS rows. featurize_pairs prepares
+one call's signatures and featurizes all its pairs as one band. Every
+feature is computed column-wise over the distinct signatures. The 13
+set-valued fields of a profile are integer gram ids; each family is packed
+into one row of uint64 bits per signature, over the grams two or more
+signatures hold, and a pair's intersection is the popcount of its two rows
+ANDed, an exact integer. A PaperGrams table, which the scoring call that
+owns it passes to each block, n-grams each cited paper once; the module
+keeps no state between calls. The bytes equal those of the string-set
+reference in the tests, whatever the string hash seed.
 """
 
 from __future__ import annotations
@@ -456,14 +461,14 @@ class PaperGrams:
 
 
 class SignatureProfile:
-    """One signature's fields as featurize_pairs reads them.
+    """One signature's fields as a PreparedBlock reads them.
 
     Names, emails and languages are normalized once. Each set-valued field
     (the _SET_FEATURES families) is held as a list of integer id arrays whose
     union is the set, or None where the field is missing, so the Jaccard
     kernels never see a string: the ref_* families as ids of the scoring
-    call's PaperGrams, the others as ids of ``vocab``, which lives for one
-    featurize_pairs call. ``ref_ids`` keeps the cited paper ids themselves
+    call's PaperGrams, the others as ids of ``vocab``, which lives while one
+    PreparedBlock is built. ``ref_ids`` keeps the cited paper ids themselves
     for cite_each_other.
     """
 
@@ -570,8 +575,13 @@ class SignatureProfile:
 
 
 class ProfileIndex:
-    """The _SET_FEATURES families of one featurize_pairs call's profiles,
-    and their Jaccards.
+    """The _SET_FEATURES families of one PreparedBlock's profiles, and their
+    Jaccards.
+
+    add() takes the profiles in slot order. pack() then turns each family,
+    one at a time, into its set sizes and one row of uint64 words per
+    profile, with one bit for each gram that two or more profiles hold; a
+    gram only one profile holds adds to no intersection but its own.
 
     pair_values and _compute_features stay separate names because
     perfbench/spans.py times both by patching them by name; both can merge
@@ -580,11 +590,14 @@ class ProfileIndex:
 
     def __init__(self):
         self.n = 0  # profiles added
-        # per family: its id arrays, the slot of each, and the presence of
-        # the field in each profile
+        # per family: its id arrays and the slot of each, until pack()
         self.arrays: list[list[np.ndarray]] = [[] for _ in _SET_FEATURES]
         self.slots: list[list[int]] = [[] for _ in _SET_FEATURES]
+        # per family: the presence of the field in each profile
         self.present: list[list[bool]] = [[] for _ in _SET_FEATURES]
+        # per family, after pack(): (n,) set sizes and (n, words) bit rows
+        self.sizes: list[np.ndarray] = []
+        self.rows: list[np.ndarray] = []
 
     def add(self, prof: SignatureProfile) -> None:
         """Append the next distinct signature's families."""
@@ -596,54 +609,64 @@ class ProfileIndex:
                 self.slots[f].extend([self.n] * len(family))
         self.n += 1
 
+    def pack(self) -> "ProfileIndex":
+        """Turn the added families into set sizes and bit rows, one family
+        at a time, and drop their id arrays."""
+        self.present = np.array(self.present, dtype=bool)
+        for f in range(len(_SET_FEATURES)):
+            sizes, rows = _pack_family(self.arrays[f], self.slots[f], self.n)
+            self.arrays[f] = self.slots[f] = None
+            self.sizes.append(sizes)
+            self.rows.append(rows)
+        return self
+
     def pair_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(len(_SET_FEATURES), n_pairs) set_jaccard of each family over the
         pairs (a[i], b[i]) (_compute_features)."""
         return _compute_features(self, a, b)
 
-    def counts(self, families: range) -> tuple[np.ndarray, np.ndarray]:
-        """(k, S, S) float32 intersection counts and (k, S) set sizes of k
-        families over the S profiles, from one Gram product whose rows
-        j * S to (j + 1) * S hold the j-th family."""
-        n, k = self.n, len(families)
-        arrays = [ids for f in families for ids in self.arrays[f]]
-        ids = np.concatenate(arrays, dtype=np.int64) if arrays else np.zeros(0, np.int64)
-        # (family, gram id, slot) in bit fields of one int64 key
-        slot_bits = (n - 1).bit_length()
-        id_bits = int(ids.max(initial=0)).bit_length()
-        tags = [j << id_bits + slot_bits | s for j, f in enumerate(families) for s in self.slots[f]]
-        key = np.repeat(np.array(tags, dtype=np.int64), [len(x) for x in arrays])
-        key |= ids << slot_bits
-        key.sort()
-        first = np.empty(len(key), dtype=bool)
-        first[:1] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        key = key[first]  # a gram repeated within one profile counts once
-        gram = key >> slot_bits
-        row = (gram >> id_bits) * n + (key & (1 << slot_bits) - 1)
-        sizes = np.bincount(row, minlength=k * n).reshape(k, n)
-        # a gram only one signature holds adds to that signature's own
-        # diagonal alone, which is its set size: drop it
-        starts = np.empty(len(gram), dtype=bool)
-        starts[:1] = True
-        np.not_equal(gram[1:], gram[:-1], out=starts[1:])
-        run = np.cumsum(starts) - 1
-        shared = np.bincount(run, minlength=1) > 1
-        keep = shared[run]
-        cols, row = (np.cumsum(shared) - 1)[run[keep]], row[keep]
-        n_cols = int(np.count_nonzero(shared))
-        # zero rows up to a multiple of GRAM_ROW_ALIGN, which add nothing
-        rows = -(-k * n // GRAM_ROW_ALIGN) * GRAM_ROW_ALIGN
-        width = max(1, GRAM_CHUNK_BYTES // (4 * rows))
-        product = np.zeros((rows, rows), dtype=np.float32)
-        for lo in range(0, n_cols, width):
-            hi = min(lo + width, n_cols)
-            p, q = np.searchsorted(cols, (lo, hi))
-            M = np.zeros((rows, hi - lo), dtype=np.float32)
-            M[row[p:q], cols[p:q] - lo] = 1.0
-            product += M @ M.T
-        blocks = product[: k * n, : k * n].reshape(k, n, k, n)
-        return blocks[np.arange(k), :, np.arange(k), :], sizes
+
+def _pack_family(arrays: list[np.ndarray], slots: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) set sizes and (n, words) uint64 bit rows of one family of n
+    profiles, whose id arrays ``arrays`` belong to the profiles ``slots``.
+
+    Work is in place where it can be, so the scratch stays near two int64
+    values per id.
+    """
+    if not arrays:
+        return np.zeros(n, dtype=np.intp), np.zeros((n, 0), dtype=np.uint64)
+    # (gram id, slot) in bit fields of one int64 key
+    slot_bits = (n - 1).bit_length()
+    key = np.concatenate(arrays, dtype=np.int64)
+    key <<= slot_bits
+    key |= np.repeat(np.array(slots, dtype=np.int32), [len(x) for x in arrays])
+    key.sort()
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]  # a gram repeated within one profile counts once
+    slot = np.empty(len(key), dtype=np.int32)
+    np.bitwise_and(key, (1 << slot_bits) - 1, out=slot)
+    sizes = np.bincount(slot, minlength=n)
+    key >>= slot_bits  # now the gram ids
+    # a run of equal ids is one gram; it gets a bit column if two or more
+    # profiles hold it, numbered in id order
+    first = first[: len(key)]
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    run = np.cumsum(first, dtype=np.int32) - 1
+    shared = np.bincount(run) > 1
+    keep = shared[run]
+    col = (np.cumsum(shared, dtype=np.int32) - 1)[run[keep]]
+    del run
+    slot = slot[keep]
+    rows = np.zeros((n, -(-int(np.count_nonzero(shared)) // 64)), dtype=np.uint64)
+    bit = (col & 63).astype(np.uint64)
+    np.left_shift(np.uint64(1), bit, out=bit)
+    col >>= 6
+    # each (slot, gram) bit is set once
+    np.bitwise_or.at(rows, (slot, col), bit)
+    return sizes, rows
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +771,15 @@ def featurize_pair(
     return featurize_pairs([s1, s2], [0], [1], dataset, counts, schema)[0]
 
 
+def schema_columns(schema: FeatureSchema) -> dict[str, int]:
+    """Each feature name's column in ``schema``; refuses a schema that names
+    a feature this module does not compute."""
+    unknown = [name for name in schema.names if name not in _FEATURE_NAMES]
+    if unknown:
+        raise SchemaMismatchError(f"schema requests unknown features {unknown}")
+    return {name: j for j, name in enumerate(schema.names)}
+
+
 def featurize_pairs(
     sigs: Sequence[Signature],
     a: Sequence[int] | np.ndarray,
@@ -760,16 +792,14 @@ def featurize_pairs(
     """Feature matrix (n_pairs, n_features) in schema order for the pairs
     (``sigs[a[i]]``, ``sigs[b[i]]``) of one dataset.
 
-    Every feature is computed column-wise over the call's distinct signature
-    indices (_feature_columns), the set overlaps from Gram products over
-    gram ids. ``grams`` is the PaperGrams of ``dataset`` that a caller
-    scoring many calls shares among them, so each cited paper is n-grammed
-    once; without it the call builds its own. Profiles live for one call
-    only, so a caller that knows the blocks calls once per block.
+    The call prepares its distinct signatures as one PreparedBlock and
+    featurizes all its pairs as one band. ``grams`` is the PaperGrams of
+    ``dataset`` that a caller scoring many calls shares among them, so each
+    cited paper is n-grammed once; without it the call builds its own.
+    Prepared signatures live for one call only, so a caller that knows the
+    blocks calls once per block.
     """
-    unknown = [name for name in schema.names if name not in _FEATURE_NAMES]
-    if unknown:
-        raise SchemaMismatchError(f"schema requests unknown features {unknown}")
+    columns = schema_columns(schema)
     if grams is None:
         grams = PaperGrams(dataset)
     elif grams.papers is not dataset.papers:
@@ -779,11 +809,8 @@ def featurize_pairs(
     if not len(a):
         return X
     slots, local = np.unique(np.concatenate([a, b]), return_inverse=True)
-    column = {name: j for j, name in enumerate(schema.names)}
-    group = [sigs[i] for i in slots.tolist()]
-    for name, values in _feature_columns(group, *np.split(local, 2), dataset, counts, grams):
-        if name in column:
-            X[:, column[name]] = values
+    block = PreparedBlock([sigs[i] for i in slots.tolist()], dataset, counts, grams)
+    block.fill(*np.split(local, 2), columns, X)
     return X
 
 
@@ -791,47 +818,37 @@ def featurize_pairs(
 # column-wise featurization
 # ---------------------------------------------------------------------------
 
-# Bytes of scratch one column-wise product holds at once: the 0/1 float32
-# indicator of a Gram product, or the float64 embedding rows of a batch of
-# pairs.
-GRAM_CHUNK_BYTES = 1 << 22
-
-# Rows of a Gram product's indicator are padded with zeros to a multiple of
-# this, and a product stacks as many families as fit in this many rows
-# (_compute_features). numpy's OpenBLAS splits a product among threads, and
-# on a 2-vCPU machine a product of 24 to 38 rows often left the calling
-# thread waiting 8-120 ms for the other (one product took 16 ms where it
-# needs 0.05 ms); in a scan of 11 to 257 rows and 300 to 10,000 columns the
-# padded scan took less time in total (440 vs 532 ms). Padding does not end
-# the stalls: the first (256, 55) product of a fresh process took 7.7 ms
-# against 0.2 ms when repeated.
-GRAM_ROW_ALIGN = 64
+# Bytes of scratch one column-wise kernel holds at once: the ANDed bit rows
+# of a chunk of pairs in _compute_features, or the float64 embedding rows of
+# a chunk of pairs in _cosines.
+GRAM_CHUNK_BYTES = 1 << 20
 
 _FEATURE_NAMES = frozenset(f.name for f in _DEFAULT_FEATURES)
 
 
 def _compute_features(index: ProfileIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(_SET_FEATURES), n_pairs) set_jaccard of each family of ``index``
-    over the pairs (a[i], b[i]), missing where either field is None.
+    """(len(_SET_FEATURES), n_pairs) set_jaccard of each family of a packed
+    ``index`` over the pairs (a[i], b[i]), missing where either field is
+    None.
 
-    The intersection counts come from Gram products (ProfileIndex.counts).
-    One product stacks as many families as fit in GRAM_ROW_ALIGN rows, at
-    least one, and keeps only its diagonal blocks. Sums of 0/1 products
-    stay exact in float32 below 2**24, so the counts are exact integers
-    whatever order a product adds in.
+    A pair's intersection is the popcount of its two bit rows ANDed, taken
+    over chunks of at most GRAM_CHUNK_BYTES of ANDed rows; a profile paired
+    with itself intersects in its whole set. The counts are exact integers,
+    so each Jaccard has the bytes of set_jaccard.
     """
-    n_fam = len(_SET_FEATURES)
-    per = max(1, GRAM_ROW_ALIGN // index.n)
-    present = np.array(index.present)
-    diag = np.arange(index.n)
-    out = np.full((n_fam, len(a)), MISSING)
-    for f in range(0, n_fam, per):
-        inter, sizes = index.counts(range(f, min(f + per, n_fam)))
-        inter[:, diag, diag] = sizes
-        inter = inter[:, a, b].astype(np.float64)
-        union = sizes[:, a] + sizes[:, b] - inter
-        defined = (union > 0) & present[f : f + per, a] & present[f : f + per, b]
-        np.divide(inter, union, out=out[f : f + per], where=defined)
+    out = np.full((len(_SET_FEATURES), len(a)), MISSING)
+    same = np.flatnonzero(a == b)
+    inter = np.empty(len(a), dtype=np.int64)
+    for f, (sizes, rows) in enumerate(zip(index.sizes, index.rows)):
+        step = max(1, GRAM_CHUNK_BYTES // (8 * max(1, rows.shape[1])))
+        for lo in range(0, len(a), step):
+            both = rows[a[lo : lo + step]]
+            both &= rows[b[lo : lo + step]]
+            np.sum(np.bitwise_count(both), axis=1, dtype=np.int64, out=inter[lo : lo + step])
+        inter[same] = sizes[a[same]]
+        union = sizes[a] + sizes[b] - inter
+        defined = (union > 0) & index.present[f, a] & index.present[f, b]
+        np.divide(inter, union, out=out[f], where=defined)
     return out
 
 
@@ -851,18 +868,12 @@ def _equal(codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cosines(embeddings: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the unit vectors of the pairs (a[i], b[i]), missing
-    where either is None."""
-    has = np.array([e is not None for e in embeddings])
+def _cosines(vectors: np.ndarray, has: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the unit vectors (rows of ``vectors``) of the pairs
+    (a[i], b[i]), missing where either has none (``has``)."""
     out = np.full(len(a), MISSING)
     both = np.flatnonzero(has[a] & has[b])
-    if not len(both):
-        return out
-    present = [e for e in embeddings if e is not None]
-    vectors = np.zeros((len(embeddings), len(present[0])))
-    vectors[has] = present
-    step = max(1, GRAM_CHUNK_BYTES // (8 * vectors.shape[1]))
+    step = max(1, GRAM_CHUNK_BYTES // (8 * max(1, vectors.shape[1])))
     for lo in range(0, len(both), step):
         rows = both[lo : lo + step]
         # numpy multiplies a stack of (1, d) @ (d, 1) matrices with the dot
@@ -871,59 +882,92 @@ def _cosines(embeddings: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _feature_columns(
-    sigs: Sequence[Signature],
-    a: np.ndarray,
-    b: np.ndarray,
-    dataset: Dataset,
-    counts: NameCountsTable,
-    grams: PaperGrams,
-):
-    """Yield (feature name, column) for every feature of the pairs
-    (``sigs[a[i]]``, ``sigs[b[i]]``) of distinct signatures ``sigs``.
+class PreparedBlock:
+    """The per-signature state that _feature_columns reads, for the distinct
+    signatures of one block (or of one featurize_pairs call).
 
-    Each signature's profile is built once, reduced to scalars and to its
-    families in a ProfileIndex, and dropped; each set family's intersection
-    counts come from one Gram product over the signatures. The name kernels
-    run once per distinct ordered (first, middle) name pair.
+    It is built once: each signature's profile is built, reduced to scalars
+    and to its families in a packed ProfileIndex, and dropped. fill() then
+    featurizes any band of pairs of its slots, as often as needed.
     """
-    index, vocab = ProfileIndex(), Vocabulary()
-    names, prefixes, suffixes, languages, papers, refs, embeddings = ([] for _ in range(7))
-    years, positions, abstracts = [], [], []
-    name_counts: dict[str, list] = {key: [] for key in _COUNT_GETTERS}
-    for sig in sigs:
-        prof = SignatureProfile(sig, dataset, grams, vocab)
-        index.add(prof)
-        names.append((prof.name.first, prof.name.middle))
-        prefixes.append(prof.email_prefix)
-        suffixes.append(prof.email_suffix)
-        languages.append(prof.language)
-        papers.append(prof.paper_id)
-        refs.append(prof.ref_ids)
-        embeddings.append(prof.embedding)
-        years.append(MISSING if prof.year is None else prof.year)
-        positions.append(prof.position)
-        abstracts.append(prof.has_abstract)
-        for key, getter in _COUNT_GETTERS.items():
-            c = getattr(counts, getter)(prof.count_keys[key])
-            name_counts[key].append(MISSING if c is None else c)
 
-    for (feature, _), values in zip(_SET_FEATURES, index.pair_values(a, b)):
+    def __init__(
+        self,
+        sigs: Sequence[Signature],
+        dataset: Dataset,
+        counts: NameCountsTable,
+        grams: PaperGrams,
+    ):
+        index, vocab = ProfileIndex(), Vocabulary()
+        names, prefixes, suffixes, languages, papers, refs, embeddings = ([] for _ in range(7))
+        years, positions, abstracts = [], [], []
+        name_counts: dict[str, list] = {key: [] for key in _COUNT_GETTERS}
+        for sig in sigs:
+            prof = SignatureProfile(sig, dataset, grams, vocab)
+            index.add(prof)
+            names.append((prof.name.first, prof.name.middle))
+            prefixes.append(prof.email_prefix)
+            suffixes.append(prof.email_suffix)
+            languages.append(prof.language)
+            papers.append(prof.paper_id)
+            refs.append(prof.ref_ids)
+            embeddings.append(prof.embedding)
+            years.append(MISSING if prof.year is None else prof.year)
+            positions.append(prof.position)
+            abstracts.append(prof.has_abstract)
+            for key, getter in _COUNT_GETTERS.items():
+                c = getattr(counts, getter)(prof.count_keys[key])
+                name_counts[key].append(MISSING if c is None else c)
+        self.index = index.pack()
+
+        self.paper, distinct = _intern(papers)
+        self.span = span = len(distinct)
+        paper_id = dict(zip(distinct, range(span)))
+        # slot * span + paper id of every (citing slot, cited paper of the block)
+        self.cites = np.array(
+            [s * span + paper_id[p] for s, cited in enumerate(refs) for p in cited & paper_id.keys()],
+            dtype=np.int64,
+        )
+        self.name_ids, self.names = _intern(names)
+        self.prefix = _intern(prefixes)[0]
+        self.suffix = _intern(suffixes)[0]
+        self.language = _intern(languages)[0]
+        self.english = np.array([lg == "en" for lg in languages], dtype=np.float64)
+        self.abstract = np.array(abstracts, dtype=np.float64)
+        self.position = np.array(positions, dtype=np.int64)
+        self.year = np.array(years, dtype=np.float64)  # a missing year propagates NaN
+        self.name_counts = {key: np.array(c, dtype=np.float64) for key, c in name_counts.items()}
+        self.has_embedding = np.array([e is not None for e in embeddings], dtype=bool)
+        present = [e for e in embeddings if e is not None]
+        self.vectors = np.zeros((len(embeddings), len(present[0]) if present else 0))
+        if present:
+            self.vectors[self.has_embedding] = present
+
+    def fill(self, a: np.ndarray, b: np.ndarray, columns: dict[str, int], out: np.ndarray) -> None:
+        """Write the features of the pairs (a[i], b[i]) of slots into row i
+        of ``out``, at the columns ``columns`` (schema_columns) gives."""
+        for name, values in _feature_columns(self, a, b):
+            j = columns.get(name)
+            if j is not None:
+                out[:, j] = values
+
+
+def _feature_columns(block: PreparedBlock, a: np.ndarray, b: np.ndarray):
+    """Yield (feature name, column) for every feature of the pairs
+    (a[i], b[i]) of ``block``'s slots.
+
+    Each set family's Jaccards come from popcounts of its bit rows; the name
+    kernels run once per distinct ordered (first, middle) name pair.
+    """
+    for (feature, _), values in zip(_SET_FEATURES, block.index.pair_values(a, b)):
         yield feature, values
 
-    paper, distinct = _intern(papers)
-    span = len(distinct)
-    paper_id = dict(zip(distinct, range(span)))
-    # slot * span + paper id of every (citing slot, cited paper of the group)
-    cites = [
-        s * span + paper_id[p] for s, cited in enumerate(refs) for p in cited & paper_id.keys()
-    ]
-    a_cites_b = np.isin(a * span + paper[b], cites)
-    b_cites_a = np.isin(b * span + paper[a], cites)
+    a_cites_b = np.isin(a * block.span + block.paper[b], block.cites)
+    b_cites_a = np.isin(b * block.span + block.paper[a], block.cites)
     yield "cite_each_other", (a_cites_b | b_cites_a).astype(np.float64)
 
-    name_ids, distinct = _intern(names)
-    code = name_ids[a] * len(distinct) + name_ids[b]
+    distinct = block.names
+    code = block.name_ids[a] * len(distinct) + block.name_ids[b]
     uniq, inverse = np.unique(code, return_inverse=True)
     table = np.array(
         [
@@ -935,23 +979,19 @@ def _feature_columns(
     for j, feature in enumerate(_NAME_FEATURES):
         yield feature, table[inverse, j]
 
-    yield "email_prefix_equal", _equal(_intern(prefixes)[0], a, b)
-    yield "email_suffix_equal", _equal(_intern(suffixes)[0], a, b)
-    lang, _ = _intern(languages)
+    yield "email_prefix_equal", _equal(block.prefix, a, b)
+    yield "email_suffix_equal", _equal(block.suffix, a, b)
+    lang = block.language
     yield "same_language", _equal(lang, a, b)
     yield "language_count", ((lang[a] >= 0).astype(np.float64) + (lang[b] >= 0))
-    english = np.array([lg == "en" for lg in languages], dtype=np.float64)
-    yield "english_count", english[a] + english[b]
-    has_abstract = np.array(abstracts, dtype=np.float64)
-    yield "abstract_count", has_abstract[a] + has_abstract[b]
-    position = np.array(positions, dtype=np.int64)
-    yield "position_diff", np.abs(position[a] - position[b]).astype(np.float64)
-    year = np.array(years, dtype=np.float64)  # a missing year propagates NaN
-    yield "year_diff", np.abs(year[a] - year[b])
+    yield "english_count", block.english[a] + block.english[b]
+    yield "abstract_count", block.abstract[a] + block.abstract[b]
+    yield "position_diff", np.abs(block.position[a] - block.position[b]).astype(np.float64)
+    yield "year_diff", np.abs(block.year[a] - block.year[b])
     for feature, key, agg in _COUNT_FEATURES:
-        c = np.array(name_counts[key], dtype=np.float64)
+        c = block.name_counts[key]
         yield feature, (np.minimum if agg is min else np.maximum)(c[a], c[b])
-    yield "embedding_cosine", _cosines(embeddings, a, b)
+    yield "embedding_cosine", _cosines(block.vectors, block.has_embedding, a, b)
 
 
 def mask_nameless(v: np.ndarray, schema: FeatureSchema) -> np.ndarray:

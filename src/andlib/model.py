@@ -96,8 +96,9 @@ def sample_pairs(
     rng = np.random.Generator(np.random.PCG64(seed))
     a, b = cand[:, rng.permutation(cand.shape[1])[: max(cap, 0)]]
 
-    # features one block at a time, so only one block's profiles are alive,
-    # against one PaperGrams table, so each cited paper is n-grammed once
+    # one featurize_pairs call per block prepares that block's sampled
+    # signatures once, so only one block's are alive, against one PaperGrams
+    # table, so each cited paper is n-grammed once
     feat_ds = source if source is not None else dataset
     sigs = [feat_ds.signatures[m] for m in members]
     grams = PaperGrams(feat_ds)
@@ -418,6 +419,50 @@ _CLUSTER_PARAM_TYPES = {
 }
 
 
+def _spec_from_doc(entry) -> FeatureSpec:
+    """A stored schema entry ``[name, group, monotone, nameless]``, refused
+    unless each value has its exact JSON type."""
+    if not (isinstance(entry, list) and len(entry) == 4):
+        raise ValueError("a schema entry must be [name, group, monotone, nameless]")
+    name, group, mono, nameless = entry
+    if not (isinstance(name, str) and isinstance(group, str)):
+        raise ValueError("a feature name and group must be strings")
+    if not (type(mono) is int and mono in (-1, 0, 1)):
+        raise ValueError(f"a monotone value must be -1, 0 or 1, got {mono!r}")
+    if type(nameless) is not bool:
+        raise ValueError(f"a nameless flag must be a boolean, got {nameless!r}")
+    return FeatureSpec(name, group, mono, nameless)
+
+
+def _check_cluster_params(params) -> None:
+    """Refuse stored cluster_params unless they are null or an object of
+    known keys whose values make a valid ClusterParams."""
+    from .cluster import ClusterParams  # cluster imports this module
+
+    if params is None:
+        return
+    if not (
+        isinstance(params, dict)
+        and set(params) <= _CLUSTER_PARAM_TYPES.keys()
+        and all(_CLUSTER_PARAM_TYPES[key](value) for key, value in params.items())
+    ):
+        raise ValueError(
+            "cluster_params must be null or an object with a string linkage and "
+            "method, a number eps and an integer dbscan_min_samples"
+        )
+    ClusterParams(**params)
+
+
+def _check_hyperparams(doc) -> None:
+    """Refuse stored hyperparams unless they are null or name every
+    hyperparameter with a valid value."""
+    if doc is None:
+        return
+    if not (isinstance(doc, dict) and set(doc) == set(HyperParams().to_doc())):
+        raise ValueError("hyperparams must be null or an object naming every hyperparameter")
+    HyperParams.from_doc(doc)
+
+
 def load_ensemble(
     path: str | os.PathLike,
     expected_schema: FeatureSchema | None = None,
@@ -432,18 +477,17 @@ def load_ensemble(
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a model object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ParseError(
-            f"{path}: unsupported model format {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported model format {version!r}")
     try:
-        schema = FeatureSchema(
-            tuple(
-                FeatureSpec(name, group, int(mono), bool(nameless))
-                for name, group, mono, nameless in doc["schema"]["features"]
-            )
-        )
+        entries = doc["schema"]["features"]
+        if not isinstance(entries, list):
+            raise ValueError("schema features must be a list")
+        schema = FeatureSchema(tuple(map(_spec_from_doc, entries)))
         stored_hash = doc["schema"]["hash"]
+        if not isinstance(stored_hash, str):
+            raise ValueError(f"the schema hash must be a string, got {stored_hash!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed schema: {exc!r}") from exc
     if schema.schema_hash != stored_hash:
@@ -464,18 +508,13 @@ def load_ensemble(
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model member: {exc!r}") from exc
     cluster_params = doc.get("cluster_params")
-    if cluster_params is not None and not (
-        isinstance(cluster_params, dict)
-        and all(
-            check(cluster_params[key])
-            for key, check in _CLUSTER_PARAM_TYPES.items()
-            if key in cluster_params
-        )
-    ):
-        raise ParseError(
-            f"{path}: cluster_params must be null or an object with a string "
-            "linkage and method, a number eps and an integer dbscan_min_samples"
-        )
+    try:
+        _check_cluster_params(cluster_params)
+        _check_hyperparams(doc.get("hyperparams"))
+        if type(doc.get("seed")) is not int:
+            raise ValueError(f"seed must be an integer, got {doc.get('seed')!r}")
+    except (ConfigError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     ens = EnsembleClassifier(full_model=full, nameless_model=nameless, schema=schema)
     meta = {
         "hyperparams": doc.get("hyperparams"),

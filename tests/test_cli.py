@@ -654,6 +654,40 @@ class TestTypedErrors:
     def test_model_with_mistyped_cluster_params(self, corpus_dir, trained_dir, tmp_path, edit):
         self.cluster_with_model(corpus_dir, trained_dir, tmp_path, edit)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["schema"]["features"][1].__setitem__(2, 0.5),
+        lambda doc: doc["schema"]["features"][0].__setitem__(2, "1"),
+        lambda doc: doc["schema"]["features"][0].__setitem__(3, "yes"),
+        lambda doc: doc["schema"]["features"][0].__setitem__(0, 5),
+        lambda doc: doc["schema"].__setitem__("hash", 5),
+    ], ids=["fractional_monotone", "string_monotone", "string_nameless", "numeric_name",
+            "numeric_hash"])
+    def test_model_with_mistyped_schema_entry(self, corpus_dir, trained_dir, tmp_path, edit):
+        # the loader used to convert with int() and bool() before hashing,
+        # so the first three loaded (0.5 as 0, "1" as 1, "yes" as true), and
+        # the last two exited 4 (schema mismatch) as if the data were sound
+        doc = json.loads((trained_dir / "model.json").read_text())
+        assert doc["schema"]["features"][0][2:] == [1, True]
+        assert doc["schema"]["features"][1][2] == 0
+        self.cluster_with_model(corpus_dir, trained_dir, tmp_path, edit)
+
+    @pytest.mark.parametrize("key, value", [
+        ("linkage", "bogus"),
+        ("method", "bogus"),
+        ("eps", 5.0),
+        ("eps", -0.5),
+        ("dbscan_min_samples", 0),
+    ], ids=["unknown_linkage", "unknown_method", "eps_above_one", "eps_negative",
+            "min_samples_zero"])
+    def test_model_with_out_of_range_cluster_params(
+        self, corpus_dir, trained_dir, tmp_path, key, value
+    ):
+        # a malformed model file is bad data (3), not a bad flag (2)
+        self.cluster_with_model(
+            corpus_dir, trained_dir, tmp_path,
+            lambda doc: doc["cluster_params"].update({key: value}),
+        )
+
     def train_with_splits(self, corpus_dir, fast_config, tmp_path, splits):
         data = tmp_path / "data"
         shutil.copytree(corpus_dir, data)

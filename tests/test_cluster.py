@@ -287,23 +287,48 @@ class TestDistanceMatrix:
             reference.append((want, want_veto))
         assert sum(int(v.sum()) for _, v in reference) > 0
 
+        ends = np.cumsum([len(b.members) * (len(b.members) - 1) // 2 for b in blocks])
+        runs = []
         for batch_pairs in (cluster.SCORE_BATCH_PAIRS, 1, 60):
             monkeypatch.setattr(cluster, "SCORE_BATCH_PAIRS", batch_pairs)
-            groups = cluster._score_groups(blocks)
-            if batch_pairs == 1:
-                assert len(groups) == len([b for b in blocks if len(b.members) > 1])
             if batch_pairs == 60:
-                # a group ends on a block of several pairs and the next
-                # starts with one, so their rows meet different calls
-                assert any(
-                    len(a[-1].members) > 2 and len(b[0].members) > 2
-                    for a, b in zip(groups, groups[1:])
-                )
+                # a band boundary falls inside a block, which two bands
+                # then score in slices, and another band spans blocks
+                cuts = np.arange(60, ends[-1], 60)
+                inside = np.searchsorted(ends, cuts, side="right")
+                assert np.any((cuts > np.append(0, ends)[inside]) & (cuts < ends[inside]))
+                assert np.any(np.diff(np.searchsorted(ends, np.append(0, cuts), side="right")) > 1)
             matrices = distance_matrices(blocks, ens, ds, counts)
             assert [D.block for D in matrices] == blocks
             for D, (want, want_veto) in zip(matrices, reference):
                 assert np.array_equal(D.d, want)
                 assert np.array_equal(D.veto, want_veto)
+            runs.append([(D.d.tobytes(), D.veto.tobytes()) for D in matrices])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_scoring_memory_is_bounded_by_the_band(self, trained):
+        # one block of 500 signatures has 124,750 pairs, whose whole feature
+        # matrix would take 124,750 x 39 x 8 bytes (38.9 MB); scoring it in
+        # bands must peak below half of that
+        import tracemalloc
+
+        from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
+
+        _, ens, _, schema = trained
+        ds = generate_synthetic_corpus(5, GeneratorConfig(n_authors=110, mean_papers=5, collision_rate=0.25))
+        counts = build_name_counts(ds)
+        block = Block("everyone", tuple(sorted(ds.signatures))[:500])
+        n = len(block.members)
+        assert n == 500
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            (D,) = distance_matrices([block], ens, ds, counts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert D.d.shape == (n, n)
+        assert peak < n * (n - 1) // 2 * len(schema) * 8 / 2
 
     def test_singleton(self, trained):
         ds, ens, counts, schema = trained
@@ -457,16 +482,16 @@ class TestClusterCorpus:
         monkeypatch.setattr(EnsembleClassifier, "predict_from_features", counting)
         blocks = build_blocks(ds)
         cluster_corpus(ds, ens, ClusterParams(eps=0.5), counts)
-        groups = cluster._score_groups(blocks)
-        assert len(calls) == len(groups) < len(blocks)
-        assert sum(calls) == sum(
-            len(b.members) * (len(b.members) - 1) // 2 for b in blocks
-        )
+        total = sum(len(b.members) * (len(b.members) - 1) // 2 for b in blocks)
+        assert len(calls) < len(blocks)
+        assert sum(calls) == total
         if batch_pairs is None:
-            assert calls == [sum(calls)]
+            assert calls == [total]
         else:
+            # every band holds exactly batch_pairs rows but the last
             assert len(calls) > 2
-            assert all(n >= batch_pairs for n in calls[:-1])
+            full, rest = divmod(total, batch_pairs)
+            assert calls == [batch_pairs] * full + ([rest] if rest else [])
 
     def test_serial_run_keeps_no_reference_to_its_inputs(self, trained):
         import dataclasses

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from andlib import features
 from andlib.blocking import block_key, build_blocks
@@ -343,7 +343,7 @@ def assert_matches_oracle(sigs, a, b, dataset, schema, featurize=featurize_pairs
 
 def featurize_one_by_one(sigs, a, b, dataset, counts, schema):
     """featurize_pairs with one call per pair, every call against one
-    shared PaperGrams: the smallest Gram products, and a table reused
+    shared PaperGrams: the smallest prepared blocks, and a table reused
     across calls."""
     grams = PaperGrams(dataset)
     rows = [
@@ -456,8 +456,8 @@ class TestFeaturizePairsOracle:
     def test_each_kernel_matches_compute_features_bytes(self, small_corpus, kernel):
         assert_matches_oracle(*block_pairs(small_corpus), small_corpus, default_schema(), kernel)
 
-    def test_gram_products_in_many_vocabulary_chunks(self, small_corpus, monkeypatch):
-        monkeypatch.setattr(features, "GRAM_CHUNK_BYTES", 1)  # one column a chunk
+    def test_overlaps_in_one_pair_chunks(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(features, "GRAM_CHUNK_BYTES", 1)  # one pair a chunk
         assert_matches_oracle(*block_pairs(small_corpus), small_corpus, default_schema())
 
     def test_shuffled_pairs_across_blocks(self, small_corpus, kernel):
@@ -511,13 +511,11 @@ class TestFeaturizePairsOracle:
             max_size=6,
         ),
         st.sampled_from([1, 64, features.GRAM_CHUNK_BYTES]),
-        st.sampled_from([1, 4, features.GRAM_ROW_ALIGN]),
     )
     @settings(max_examples=100)
-    def test_gram_jaccard_equals_set_jaccard_bit_for_bit(self, sets, chunk_bytes, row_align):
+    def test_gram_jaccard_equals_set_jaccard_bit_for_bit(self, sets, chunk_bytes):
         # family f of signature i holds sets[(i + f) % n], as two id arrays
-        # that overlap, so a product stacks different families and a
-        # profile repeats ids
+        # that overlap, so families differ and a profile repeats ids
         n, vocab, index = len(sets), Vocabulary(), ProfileIndex()
         attrs = [attr for _, attr in features._SET_FEATURES]
         for i in range(n):
@@ -527,18 +525,76 @@ class TestFeaturizePairsOracle:
                 half = frozenset(sorted(values or ())[::2])
                 setattr(prof, attr, None if values is None else [vocab.intern(values), vocab.intern(half)])
             index.add(prof)
+        index.pack()
         a, b = (x.ravel() for x in np.indices((n, n)))
-        with mock.patch.multiple(features, GRAM_CHUNK_BYTES=chunk_bytes, GRAM_ROW_ALIGN=row_align):
+        with mock.patch.object(features, "GRAM_CHUNK_BYTES", chunk_bytes):
             got = index.pair_values(a, b)
         for f in range(len(attrs)):
             side = [sets[(i + f) % n] for i in range(n)]
-            want = np.array(
-                [
-                    MISSING if side[i] is None or side[j] is None else set_jaccard(side[i], side[j])
-                    for i, j in zip(a, b)
-                ]
-            )
-            assert got[f].tobytes() == want.tobytes()
+            assert got[f].tobytes() == reference_jaccards(side, a, b).tobytes()
+
+
+def reference_jaccards(sets, a, b):
+    """set_jaccard of the pairs (sets[a[i]], sets[b[i]]), missing where
+    either is None."""
+    return np.array(
+        [
+            MISSING if sets[i] is None or sets[j] is None else set_jaccard(sets[i], sets[j])
+            for i, j in zip(a, b)
+        ]
+    )
+
+
+#: a family as (start, length, loose ids): the ids start..start+length-1
+#: plus the loose ones, all offset by one base per example
+ID_RUN = st.tuples(st.integers(0, 40), st.integers(0, 150), st.frozensets(st.integers(0, 300), max_size=4))
+
+
+@given(
+    st.sampled_from([0, 1 << 16, (1 << 24) + 5]),
+    st.lists(st.none() | ID_RUN, min_size=1, max_size=5),
+    st.sampled_from([1, 512, features.GRAM_CHUNK_BYTES]),
+)
+@example(1 << 16, [(0, 150, frozenset()), (10, 140, frozenset({299})), None, (0, 0, frozenset())], 1)
+@settings(max_examples=100, deadline=None)
+def test_popcount_jaccard_equals_set_jaccard_bit_for_bit(base, runs, chunk_bytes):
+    # overlapping runs share up to 150 ids, so a bit row spans several
+    # uint64 words; ids reach past 2**16; every profile repeats a third of
+    # its ids in a second array; pairs include each profile with itself;
+    # a chunk budget of 1 byte takes one pair per chunk
+    sets = [
+        None if run is None else frozenset(range(base + run[0], base + run[0] + run[1])) | {base + k for k in run[2]}
+        for run in runs
+    ]
+    n, index = len(sets), ProfileIndex()
+    attrs = [attr for _, attr in features._SET_FEATURES]
+    for i in range(n):
+        prof = SimpleNamespace()
+        for f, attr in enumerate(attrs):
+            values = sets[(i + f) % n]
+            ids = np.array(sorted(values or ()), dtype=np.int64)
+            setattr(prof, attr, None if values is None else [ids, ids[1::3]])
+        index.add(prof)
+    index.pack()
+    a, b = (x.ravel() for x in np.indices((n, n)))
+    with mock.patch.object(features, "GRAM_CHUNK_BYTES", chunk_bytes):
+        got = features._compute_features(index, a, b)
+    for f in range(len(attrs)):
+        side = [sets[(i + f) % n] for i in range(n)]
+        assert got[f].tobytes() == reference_jaccards(side, a, b).tobytes()
+
+
+def test_popcount_rows_span_several_words():
+    # 150 ids two profiles share are 150 bit columns, three uint64 words;
+    # ids only one profile holds get no column
+    index = ProfileIndex()
+    for ids in (np.arange(200), np.arange(50, 300)):
+        index.add(SimpleNamespace(**{attr: [ids] for _, attr in features._SET_FEATURES}))
+    index.pack()
+    assert [r.shape for r in index.rows] == [(2, 3)] * len(features._SET_FEATURES)
+    assert [s.tolist() for s in index.sizes] == [[200, 250]] * len(features._SET_FEATURES)
+    got = index.pair_values(np.array([0, 1, 0]), np.array([1, 0, 0]))
+    assert (got[:, :2] == 150 / 300).all() and (got[:, 2] == 1.0).all()
 
 
 def test_ids_widen_past_65536_strings():
@@ -550,7 +606,7 @@ def test_ids_widen_past_65536_strings():
     for family in (small, big):
         prof = SimpleNamespace(**{attr: [family] for _, attr in features._SET_FEATURES})
         index.add(prof)
-    got = index.pair_values(np.array([0]), np.array([1]))
+    got = index.pack().pair_values(np.array([0]), np.array([1]))
     assert (got == 1 / ((1 << 16) + 2)).all()
 
 

@@ -980,7 +980,8 @@ def small_saved_model(tmp_path_factory):
     schema = toy_schema(1)
     model = train_gbt(X, y, HyperParams(n_trees=2, max_leaves=3), (0,), 0, schema)
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
-    save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0)
+    cluster_params = {"linkage": "average", "eps": 0.5, "method": "hac", "dbscan_min_samples": 2}
+    save_ensemble(path, EnsembleClassifier(model, None, schema), SMALL_HP, 0, cluster_params)
     return path, json.loads(path.read_text())
 
 
@@ -1005,3 +1006,42 @@ def test_mutated_model_member_loads_as_written_or_raises(small_saved_model, data
     again = path.with_name("resaved.json")
     save_ensemble(again, ens, SMALL_HP, meta["seed"])
     assert json.loads(again.read_text())["full"] == mutated["full"]
+
+
+def _document_paths(doc):
+    """Every top-level key of a saved model, and the key path of every
+    scalar of its schema, hyperparams and cluster_params."""
+    return [(key,) for key in doc] + [
+        (part, *path) for part in ("schema", "hyperparams", "cluster_params")
+        for path in _leaf_paths(doc[part])
+    ]
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_mutated_model_document_loads_as_written_or_raises(small_saved_model, data):
+    # a top-level value, or one scalar of the schema, hyperparams or
+    # cluster_params, becomes any JSON value: the loader either refuses the
+    # file with a typed error, or what it returns makes valid settings and
+    # re-saves to the same document, JSON types included
+    path, doc = small_saved_model
+    where = data.draw(st.sampled_from(_document_paths(doc)))
+    mutated = copy.deepcopy(doc)
+    parent = mutated
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = data.draw(JSON_VALUES)
+    bad = path.with_name("mutated_document.json")
+    bad.write_text(json.dumps(mutated))
+    try:
+        ens, meta = load_ensemble(bad)
+    except AndError:
+        return
+    from andlib.cluster import ClusterParams
+
+    ClusterParams(**(meta["cluster_params"] or {}))
+    hp = None if meta["hyperparams"] is None else HyperParams.from_doc(meta["hyperparams"])
+    again = path.with_name("resaved_document.json")
+    save_ensemble(again, ens, hp, meta["seed"], meta["cluster_params"])
+    resaved = json.loads(again.read_text())
+    assert json.dumps(resaved, sort_keys=True) == json.dumps(mutated, sort_keys=True)
