@@ -28,12 +28,10 @@ from .features import (
     FeatureSchema,
     FeatureSpec,
     default_schema,
-    featurize_pair,
     jaro_winkler,
     lcs_distance,
     levenshtein,
     mask_nameless,
-    ngram_jaccard,
     prefix_distance,
 )
 from .gbt import HyperParams, TreeEnsembleModel, fit_boosted_trees
@@ -49,7 +47,6 @@ from .metrics import (
 from .model import (
     EnsembleClassifier,
     PairSample,
-    predict_ensemble,
     sample_pairs,
     train_gbt,
     train_linear,

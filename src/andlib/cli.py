@@ -117,20 +117,20 @@ def _run_config(args) -> RunConfig:
     doc = _load_config_file(getattr(args, "config", None))
     cfg = RunConfig.from_doc(doc)
     overrides = {}
-    for flag, key in (
-        ("seed", "seed"),
-        ("train_cap", "train_cap"),
-        ("val_cap", "val_cap"),
-        ("tune_budget", "tune_budget"),
-        ("eps_budget", "eps_budget"),
-        ("linkage", "linkage"),
-        ("method", "method"),
-        ("eps", "eps"),
-        ("classifier", "classifier"),
-        ("jobs", "jobs"),
-        ("knockout_probability", "knockout_probability"),
+    for key in (
+        "seed",
+        "train_cap",
+        "val_cap",
+        "tune_budget",
+        "eps_budget",
+        "linkage",
+        "method",
+        "eps",
+        "classifier",
+        "jobs",
+        "knockout_probability",
     ):
-        value = getattr(args, flag, None)
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     if getattr(args, "knockout", False):
@@ -363,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="generator config JSON")
     p.add_argument("--authors", type=int)
-    p.add_argument("--mean-papers", dest="mean_papers", type=float)
-    p.add_argument("--collision-rate", dest="collision_rate", type=float)
-    p.add_argument("--embedding-noise", dest="embedding_noise", type=float)
+    p.add_argument("--mean-papers", type=float)
+    p.add_argument("--collision-rate", type=float)
+    p.add_argument("--embedding-noise", type=float)
     p.set_defaults(func=cmd_synth)
 
     def add_run_flags(p, with_training=True):
@@ -373,25 +373,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="run config JSON")
         p.add_argument("--seed", type=int)
-        p.add_argument("--name-counts", dest="name_counts")
+        p.add_argument("--name-counts")
         p.add_argument("--jobs", type=int, default=default_jobs)
         if with_training:
-            p.add_argument("--train-cap", dest="train_cap", type=int)
-            p.add_argument("--val-cap", dest="val_cap", type=int)
-            p.add_argument("--tune-budget", dest="tune_budget", type=int)
-            p.add_argument("--eps-budget", dest="eps_budget", type=int)
+            p.add_argument("--train-cap", type=int)
+            p.add_argument("--val-cap", type=int)
+            p.add_argument("--tune-budget", type=int)
+            p.add_argument("--eps-budget", type=int)
             p.add_argument("--linkage", choices=cluster.LINKAGES)
             p.add_argument("--method", choices=("hac", "dbscan"))
             p.add_argument("--eps", type=float)
             p.add_argument("--classifier", choices=("gbt", "linear"))
             p.add_argument("--knockout", action="store_true")
-            p.add_argument(
-                "--knockout-probability", dest="knockout_probability", type=float
-            )
+            p.add_argument("--knockout-probability", type=float)
             p.add_argument("--drop", action="append", metavar="FEATURE_OR_GROUP")
-            p.add_argument("--no-name-rules", dest="no_name_rules", action="store_true")
-            p.add_argument("--no-nameless", dest="no_nameless", action="store_true")
-            p.add_argument("--no-monotone", dest="no_monotone", action="store_true")
+            p.add_argument("--no-name-rules", action="store_true")
+            p.add_argument("--no-nameless", action="store_true")
+            p.add_argument("--no-monotone", action="store_true")
 
     p = sub.add_parser("train", help="train the pairwise ensemble and tune eps")
     add_run_flags(p)
@@ -406,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--name-counts", dest="name_counts")
+    p.add_argument("--name-counts")
     p.add_argument("--linkage", choices=cluster.LINKAGES)
     p.add_argument("--method", choices=("hac", "dbscan"))
     p.add_argument("--eps", type=float)
-    p.add_argument("--no-name-rules", dest="no_name_rules", action="store_true")
+    p.add_argument("--no-name-rules", action="store_true")
     p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_cluster)
 

@@ -225,36 +225,26 @@ def hac_merge_order(
     n = D.d.shape[0]
     if n < 2:
         return []
-    W = D.d.astype(np.float64).copy()
-    V = D.veto.copy()
-    active = np.ones(n, dtype=bool)
+    # the linkage distance of every two live clusters, +inf where they may
+    # not merge: a veto, a slot merged away, or the diagonal
+    W = np.where(D.veto, np.inf, D.d.astype(np.float64, copy=False))
+    np.fill_diagonal(W, np.inf)
     sizes = np.ones(n, dtype=np.float64)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     merges: list[tuple[int, int, float]] = []
 
     while True:
-        ok = upper & active[:, None] & active[None, :] & ~V
-        if not ok.any():
+        # W is symmetric, so the first minimum in row-major order is the
+        # lowest slot and then its lowest partner
+        i, j = divmod(int(W.argmin()), n)
+        height = float(W[i, j])
+        if height == np.inf or height > eps:
             break
-        masked = np.where(ok, W, np.inf)
-        k = int(masked.argmin())
-        i, j = divmod(k, n)
-        height = float(masked[i, j])
-        if height > eps:
-            break
-        d_ij = W[i, j]
-        others = active.copy()
-        others[i] = others[j] = False
-        new_row = _lance_williams(
-            linkage, W[i], W[j], d_ij, sizes[i], sizes[j], sizes
-        )
-        W[i, others] = new_row[others]
-        W[others, i] = new_row[others]
-        W[i, i] = 0.0
-        V[i] |= V[j]
-        V[:, i] |= V[:, j]
+        new_row = _lance_williams(linkage, W[i], W[j], W[i, j], sizes[i], sizes[j], sizes)
+        # a pair vetoed for either parent stays vetoed for the merged cluster
+        new_row[np.isinf(W[i]) | np.isinf(W[j])] = np.inf
+        W[i] = W[:, i] = new_row
+        W[j] = W[:, j] = np.inf
         sizes[i] += sizes[j]
-        active[j] = False
         merges.append((i, j, height))
     return merges
 

@@ -122,17 +122,13 @@ class NameCountsTable:
     first_last: dict[str, int] = field(default_factory=dict)
     first_initial_last: dict[str, int] = field(default_factory=dict)
 
-    def get_first(self, key: str | None) -> int | None:
-        return self.first.get(key) if key else None
-
-    def get_last(self, key: str | None) -> int | None:
-        return self.last.get(key) if key else None
-
-    def get_first_last(self, key: str | None) -> int | None:
-        return self.first_last.get(key) if key else None
-
-    def get_first_initial_last(self, key: str | None) -> int | None:
-        return self.first_initial_last.get(key) if key else None
+    def lookup(self, name: blocking.NormalizedName) -> dict[str, int | None]:
+        """The count of each of the name's keys (name_count_keys), None where
+        a key is None or empty or absent from its table."""
+        return {
+            table: getattr(self, table).get(key) if key else None
+            for table, key in name_count_keys(name).items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +450,27 @@ def _dump_json(doc, out_dir, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def name_count_keys(name: blocking.NormalizedName) -> dict[str, str | None]:
+    """The name's key in each NameCountsTable table: first, last, first_last
+    and first_initial_last; None in the three that need a first name when it
+    has none."""
+    first, last = name.first, name.last
+    return {
+        "first": first or None,
+        "last": last,
+        "first_last": f"{first} {last}" if first else None,
+        "first_initial_last": f"{name.first_initial} {last}" if first else None,
+    }
+
+
 def build_name_counts(dataset: Dataset) -> NameCountsTable:
     """Count normalized name keys over every signature in the corpus."""
     table = NameCountsTable()
     for sig_id in sorted(dataset.signatures):
-        name = dataset.signatures[sig_id].name
-        table.last[name.last] = table.last.get(name.last, 0) + 1
-        if name.first:
-            table.first[name.first] = table.first.get(name.first, 0) + 1
-            fl = f"{name.first} {name.last}"
-            table.first_last[fl] = table.first_last.get(fl, 0) + 1
-            il = f"{name.first_initial} {name.last}"
-            table.first_initial_last[il] = table.first_initial_last.get(il, 0) + 1
+        for field_name, key in name_count_keys(dataset.signatures[sig_id].name).items():
+            if key is not None:
+                counts = getattr(table, field_name)
+                counts[key] = counts.get(key, 0) + 1
     return table
 
 

@@ -14,9 +14,9 @@ variant of the vector blanks every feature derived from the focal author's
 own name surface form (co-author names are kept).
 
 A PreparedBlock is the one path from signature pairs to a feature matrix.
-It is built once for a block's distinct signatures (their profiles, reduced
-to the per-signature arrays _feature_columns reads and to packed gram rows),
-and then featurizes any band of the block's pairs, given as two index arrays,
+It is built once for a block's distinct signatures (the per-signature arrays
+_feature_columns reads, and the packed gram rows of their profiles), and
+then featurizes any band of the block's pairs, given as two index arrays,
 as often as needed; cluster.distance_matrices featurizes and scores pairs in
 bands of at most cluster.SCORE_BATCH_PAIRS rows. featurize_pairs prepares
 one call's signatures and featurizes all its pairs as one band. Every
@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import blocking
-from .corpus import Dataset, NameCountsTable, Signature
+from .corpus import Dataset, NameCountsTable, Paper, Signature
 from .errors import IntegrityError, SchemaMismatchError
 
 MISSING = float("nan")
@@ -193,32 +193,6 @@ def set_jaccard(a: frozenset | set, b: frozenset | set) -> float:
         return 0.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
-
-
-def ngram_jaccard(
-    a: str | Iterable[str],
-    b: str | Iterable[str],
-    unit: str = "char",
-    n_range: tuple[int, int] = (2, 4),
-) -> float:
-    """Jaccard overlap of the union of n-gram sets for n in n_range.
-
-    Accepts a string or an iterable of strings per side (iterables are
-    joined with spaces first, as the featurizer does for affiliation
-    lists). Empty-vs-empty gram sets yield NaN, empty-vs-nonempty yields 0.
-    """
-    lo, hi = n_range
-    if lo < 1 or lo > hi:
-        raise ValueError(f"bad n-gram range {n_range}")
-    if unit not in ("char", "word"):
-        raise ValueError(f"unit must be 'char' or 'word', got {unit!r}")
-    extract = char_grams if unit == "char" else word_grams
-
-    def grams(side) -> frozenset[str]:
-        text = side if isinstance(side, str) else " ".join(side)
-        return extract(text, lo, hi)
-
-    return set_jaccard(grams(a), grams(b))
 
 
 # ---------------------------------------------------------------------------
@@ -460,54 +434,39 @@ class PaperGrams:
 # ---------------------------------------------------------------------------
 
 
-class SignatureProfile:
-    """One signature's fields as a PreparedBlock reads them.
+#: every set-valued Jaccard feature and the profile field it compares; a
+#: field that is None on either side makes the feature missing
+_SET_FEATURES = (
+    ("coauthor_key_jaccard", "coauthor_keys"),
+    ("coauthor_name_jaccard", "coauthor_names"),
+    ("coauthor_char_jaccard", "coauthor_grams"),
+    ("affiliation_word_jaccard", "affiliation_grams"),
+    ("venue_char_jaccard", "venue_grams"),
+    ("journal_char_jaccard", "journal_grams"),
+    ("title_word_jaccard", "title_word_g"),
+    ("title_char_jaccard", "title_char_g"),
+    ("ref_author_char_jaccard", "ref_author_grams"),
+    ("ref_title_char_jaccard", "ref_title_grams"),
+    ("ref_venue_char_jaccard", "ref_venue_grams"),
+    ("ref_key_char_jaccard", "ref_key_grams"),
+    ("ref_cocitation_jaccard", "cited_ids"),
+)
 
-    Names, emails and languages are normalized once. Each set-valued field
-    (the _SET_FEATURES families) is held as a list of integer id arrays whose
-    union is the set, or None where the field is missing, so the Jaccard
-    kernels never see a string: the ref_* families as ids of the scoring
-    call's PaperGrams, the others as ids of ``vocab``, which lives while one
-    PreparedBlock is built. ``ref_ids`` keeps the cited paper ids themselves
-    for cite_each_other.
+
+class SignatureProfile:
+    """One signature's set-valued fields (the _SET_FEATURES families), as a
+    ProfileIndex reads them.
+
+    Each family is a list of integer id arrays whose union is the set, or
+    None where the field is missing, so the Jaccard kernels never see a
+    string: the ref_* families as ids of the scoring call's PaperGrams, the
+    others as ids of ``vocab``, which lives while one PreparedBlock is
+    built.
     """
 
-    __slots__ = (
-        "paper_id",
-        "name",
-        "coauthor_keys",
-        "coauthor_names",
-        "coauthor_grams",
-        "affiliation_grams",
-        "email_prefix",
-        "email_suffix",
-        "venue_grams",
-        "journal_grams",
-        "title_word_g",
-        "title_char_g",
-        "year",
-        "position",
-        "has_abstract",
-        "language",
-        "ref_ids",
-        "cited_ids",
-        "ref_author_grams",
-        "ref_title_grams",
-        "ref_venue_grams",
-        "ref_key_grams",
-        "embedding",
-        "count_keys",
-    )
+    __slots__ = tuple(attr for _, attr in _SET_FEATURES)
 
-    def __init__(self, sig: Signature, dataset: Dataset, grams: PaperGrams, vocab: Vocabulary):
-        paper = dataset.papers.get(sig.paper_id)
-        if paper is None:
-            raise IntegrityError(
-                f"signature {sig.signature_id!r} references missing paper"
-            )
-        self.paper_id = sig.paper_id
-        self.name = name = sig.name
-
+    def __init__(self, sig: Signature, paper: Paper, grams: PaperGrams, vocab: Vocabulary):
         coauthors = [
             folded
             for i, raw in enumerate(paper.author_names, start=1)
@@ -523,14 +482,6 @@ class SignatureProfile:
             else None
         )
 
-        if sig.email and "@" in sig.email:
-            prefix, _, suffix = sig.email.lower().partition("@")
-            self.email_prefix, self.email_suffix = prefix, suffix
-        elif sig.email:
-            self.email_prefix, self.email_suffix = sig.email.lower(), ""
-        else:
-            self.email_prefix = self.email_suffix = None
-
         self.venue_grams = [vocab.intern(char_grams(paper.venue, 2, 4))] if paper.venue else None
         self.journal_grams = (
             [vocab.intern(char_grams(paper.journal, 2, 4))] if paper.journal else None
@@ -538,12 +489,7 @@ class SignatureProfile:
         title = paper.title or ""
         self.title_word_g = [vocab.intern(word_grams(title, 1, 3))] if title else None
         self.title_char_g = [vocab.intern(char_grams(title, 2, 4))] if title else None
-        self.year = paper.year
-        self.position = sig.author_position
-        self.has_abstract = bool(paper.abstract)
-        self.language = paper.language.lower() if paper.language else None
 
-        self.ref_ids = paper.reference_ids
         self.cited_ids = [vocab.intern(paper.reference_ids)]
         if paper.reference_ids:
             (
@@ -557,21 +503,6 @@ class SignatureProfile:
             self.ref_title_grams = None
             self.ref_venue_grams = None
             self.ref_key_grams = None
-
-        if paper.embedding is not None:
-            vec = np.asarray(paper.embedding, dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            self.embedding = vec / norm if norm > 0 else None
-        else:
-            self.embedding = None
-
-        first, last = name.first, name.last
-        self.count_keys = {
-            "first": first or None,
-            "last": last,
-            "first_last": f"{first} {last}" if first else None,
-            "first_initial_last": f"{name.first_initial} {last}" if first else None,
-        }
 
 
 class ProfileIndex:
@@ -733,44 +664,6 @@ _COUNT_FEATURES = (
     ("max_first_last_count", "first_last", max),
 )
 
-#: the NameCountsTable lookup of each SignatureProfile.count_keys entry
-_COUNT_GETTERS = {
-    "first": "get_first",
-    "last": "get_last",
-    "first_last": "get_first_last",
-    "first_initial_last": "get_first_initial_last",
-}
-
-#: every set-valued Jaccard feature and the profile field it compares; a
-#: field that is None on either side makes the feature missing
-_SET_FEATURES = (
-    ("coauthor_key_jaccard", "coauthor_keys"),
-    ("coauthor_name_jaccard", "coauthor_names"),
-    ("coauthor_char_jaccard", "coauthor_grams"),
-    ("affiliation_word_jaccard", "affiliation_grams"),
-    ("venue_char_jaccard", "venue_grams"),
-    ("journal_char_jaccard", "journal_grams"),
-    ("title_word_jaccard", "title_word_g"),
-    ("title_char_jaccard", "title_char_g"),
-    ("ref_author_char_jaccard", "ref_author_grams"),
-    ("ref_title_char_jaccard", "ref_title_grams"),
-    ("ref_venue_char_jaccard", "ref_venue_grams"),
-    ("ref_key_char_jaccard", "ref_key_grams"),
-    ("ref_cocitation_jaccard", "cited_ids"),
-)
-
-
-def featurize_pair(
-    s1: Signature,
-    s2: Signature,
-    dataset: Dataset,
-    counts: NameCountsTable,
-    schema: FeatureSchema,
-) -> np.ndarray:
-    """Compute the feature vector for one signature pair, in schema order."""
-    return featurize_pairs([s1, s2], [0], [1], dataset, counts, schema)[0]
-
-
 def schema_columns(schema: FeatureSchema) -> dict[str, int]:
     """Each feature name's column in ``schema``; refuses a schema that names
     a feature this module does not compute."""
@@ -886,9 +779,10 @@ class PreparedBlock:
     """The per-signature state that _feature_columns reads, for the distinct
     signatures of one block (or of one featurize_pairs call).
 
-    It is built once: each signature's profile is built, reduced to scalars
-    and to its families in a packed ProfileIndex, and dropped. fill() then
-    featurizes any band of pairs of its slots, as often as needed.
+    It is built once: each signature's scalars are read from it and its
+    paper, and its gram families (SignatureProfile) go into a packed
+    ProfileIndex. fill() then featurizes any band of pairs of its slots, as
+    often as needed.
     """
 
     def __init__(
@@ -898,50 +792,62 @@ class PreparedBlock:
         counts: NameCountsTable,
         grams: PaperGrams,
     ):
-        index, vocab = ProfileIndex(), Vocabulary()
-        names, prefixes, suffixes, languages, papers, refs, embeddings = ([] for _ in range(7))
-        years, positions, abstracts = [], [], []
-        name_counts: dict[str, list] = {key: [] for key in _COUNT_GETTERS}
+        index, vocab, papers = ProfileIndex(), Vocabulary(), []
         for sig in sigs:
-            prof = SignatureProfile(sig, dataset, grams, vocab)
-            index.add(prof)
-            names.append((prof.name.first, prof.name.middle))
-            prefixes.append(prof.email_prefix)
-            suffixes.append(prof.email_suffix)
-            languages.append(prof.language)
-            papers.append(prof.paper_id)
-            refs.append(prof.ref_ids)
-            embeddings.append(prof.embedding)
-            years.append(MISSING if prof.year is None else prof.year)
-            positions.append(prof.position)
-            abstracts.append(prof.has_abstract)
-            for key, getter in _COUNT_GETTERS.items():
-                c = getattr(counts, getter)(prof.count_keys[key])
-                name_counts[key].append(MISSING if c is None else c)
+            paper = dataset.papers.get(sig.paper_id)
+            if paper is None:
+                raise IntegrityError(
+                    f"signature {sig.signature_id!r} references missing paper"
+                )
+            index.add(SignatureProfile(sig, paper, grams, vocab))
+            papers.append(paper)
         self.index = index.pack()
 
-        self.paper, distinct = _intern(papers)
+        self.paper, distinct = _intern([sig.paper_id for sig in sigs])
         self.span = span = len(distinct)
         paper_id = dict(zip(distinct, range(span)))
         # slot * span + paper id of every (citing slot, cited paper of the block)
         self.cites = np.array(
-            [s * span + paper_id[p] for s, cited in enumerate(refs) for p in cited & paper_id.keys()],
+            [
+                s * span + paper_id[p]
+                for s, paper in enumerate(papers)
+                for p in paper.reference_ids & paper_id.keys()
+            ],
             dtype=np.int64,
         )
-        self.name_ids, self.names = _intern(names)
-        self.prefix = _intern(prefixes)[0]
-        self.suffix = _intern(suffixes)[0]
+        self.name_ids, self.names = _intern([(sig.name.first, sig.name.middle) for sig in sigs])
+        # (prefix, "@", suffix), or (email, "", "") for an email without "@"
+        emails = [sig.email.lower().partition("@") if sig.email else (None,) * 3 for sig in sigs]
+        self.prefix = _intern([prefix for prefix, _, _ in emails])[0]
+        self.suffix = _intern([suffix for _, _, suffix in emails])[0]
+        languages = [paper.language.lower() if paper.language else None for paper in papers]
         self.language = _intern(languages)[0]
         self.english = np.array([lg == "en" for lg in languages], dtype=np.float64)
-        self.abstract = np.array(abstracts, dtype=np.float64)
-        self.position = np.array(positions, dtype=np.int64)
-        self.year = np.array(years, dtype=np.float64)  # a missing year propagates NaN
-        self.name_counts = {key: np.array(c, dtype=np.float64) for key, c in name_counts.items()}
-        self.has_embedding = np.array([e is not None for e in embeddings], dtype=bool)
-        present = [e for e in embeddings if e is not None]
-        self.vectors = np.zeros((len(embeddings), len(present[0]) if present else 0))
-        if present:
-            self.vectors[self.has_embedding] = present
+        self.abstract = np.array([bool(paper.abstract) for paper in papers], dtype=np.float64)
+        self.position = np.array([sig.author_position for sig in sigs], dtype=np.int64)
+        # a missing year propagates NaN
+        self.year = np.array(
+            [MISSING if paper.year is None else paper.year for paper in papers], dtype=np.float64
+        )
+        counted = [counts.lookup(sig.name) for sig in sigs]
+        self.name_counts = {
+            key: np.array(
+                [MISSING if c[key] is None else c[key] for c in counted], dtype=np.float64
+            )
+            for _, key, _ in _COUNT_FEATURES
+        }
+        # each embedding scaled to unit length on its own; a zero vector is
+        # no embedding
+        dim = next((len(paper.embedding) for paper in papers if paper.embedding is not None), 0)
+        self.vectors = np.zeros((len(papers), dim))
+        self.has_embedding = np.zeros(len(papers), dtype=bool)
+        for s, paper in enumerate(papers):
+            if paper.embedding is not None:
+                vec = np.asarray(paper.embedding, dtype=np.float64)
+                norm = float(np.linalg.norm(vec))
+                if norm > 0:
+                    self.vectors[s] = vec / norm
+                    self.has_embedding[s] = True
 
     def fill(self, a: np.ndarray, b: np.ndarray, columns: dict[str, int], out: np.ndarray) -> None:
         """Write the features of the pairs (a[i], b[i]) of slots into row i

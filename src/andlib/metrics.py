@@ -150,38 +150,36 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _block_names(block: Block, dataset: Dataset) -> list[str]:
-    return [dataset.signatures[sig_id].name.full for sig_id in block.members]
+def _flagged_share(block: Block, gold: Partition, dataset: Dataset, same_name: bool) -> float:
+    """Fraction of block records with another record in a different gold
+    cluster under the same full name (``same_name``), or in the same gold
+    cluster under a different full name."""
+    names = [dataset.signatures[m].name.full for m in block.members]
+    clusters = [gold.assignment[m] for m in block.members]
+    n = len(block.members)
+    flagged = 0
+    for i in range(n):
+        for j in range(n):
+            if (
+                i != j
+                and (names[i] == names[j]) == same_name
+                and (clusters[i] == clusters[j]) != same_name
+            ):
+                flagged += 1
+                break
+    return flagged / n if n else 0.0
 
 
 def homonymity(block: Block, gold: Partition, dataset: Dataset) -> float:
     """Fraction of block records sharing a full name with a record from a
     different gold cluster."""
-    names = _block_names(block, dataset)
-    clusters = [gold.assignment[m] for m in block.members]
-    n = len(block.members)
-    flagged = 0
-    for i in range(n):
-        for j in range(n):
-            if i != j and names[i] == names[j] and clusters[i] != clusters[j]:
-                flagged += 1
-                break
-    return flagged / n if n else 0.0
+    return _flagged_share(block, gold, dataset, same_name=True)
 
 
 def synonymity(block: Block, gold: Partition, dataset: Dataset) -> float:
     """Fraction of block records sharing a gold cluster with a record whose
     full name differs."""
-    names = _block_names(block, dataset)
-    clusters = [gold.assignment[m] for m in block.members]
-    n = len(block.members)
-    flagged = 0
-    for i in range(n):
-        for j in range(n):
-            if i != j and clusters[i] == clusters[j] and names[i] != names[j]:
-                flagged += 1
-                break
-    return flagged / n if n else 0.0
+    return _flagged_share(block, gold, dataset, same_name=False)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,13 @@ import numpy as np
 
 from . import blocking
 from .blocking import Block
-from .corpus import Dataset, NameCountsTable, Signature
+from .corpus import Dataset, NameCountsTable
 from .errors import ConfigError, ParseError, SchemaMismatchError
 from .features import (
     FeatureSchema,
     FeatureSpec,
     PaperGrams,
     featurize_pairs,
-    featurize_pair,
     mask_nameless,
 )
 from .gbt import (
@@ -226,18 +225,6 @@ class EnsembleClassifier:
             return p_full
         p_nameless = self.nameless_model.predict_proba(mask_nameless(X, self.schema))
         return (p_full + p_nameless) / 2.0
-
-
-def predict_ensemble(
-    ens: EnsembleClassifier,
-    s1: Signature,
-    s2: Signature,
-    dataset: Dataset,
-    counts: NameCountsTable,
-) -> float:
-    """Same-author probability for one signature pair."""
-    v = featurize_pair(s1, s2, dataset, counts, ens.schema)
-    return float(ens.predict_from_features(v)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from andlib.corpus import Dataset, NameCountsTable, Signature
 from andlib.errors import IntegrityError
 from andlib.features import (
     _COUNT_FEATURES,
-    _COUNT_GETTERS,
     _NAME_FEATURES,
     MISSING,
     _name_features,
@@ -908,9 +907,9 @@ def reference_pair_features(
     )
 
     for feat, key, agg in _COUNT_FEATURES:
-        getter = getattr(counts, _COUNT_GETTERS[key])
-        ca = getter(pa.count_keys[key])
-        cb = getter(pb.count_keys[key])
+        table = getattr(counts, key)
+        ca = table.get(pa.count_keys[key]) if pa.count_keys[key] else None
+        cb = table.get(pb.count_keys[key]) if pb.count_keys[key] else None
         out[feat] = float(agg(ca, cb)) if ca is not None and cb is not None else MISSING
 
     if pa.embedding is not None and pb.embedding is not None:

@@ -251,16 +251,10 @@ class TestDistanceMatrix:
         assert np.array_equal(D.d, D.d.T)
         assert np.all(np.diag(D.d) == 0.0)
         assert np.all(D.d >= 0.0) and np.all(D.d <= 1.0)
-        from andlib.features import featurize_pair
+        from andlib.features import featurize_pairs
 
-        v = featurize_pair(
-            ds.signatures[blocks[0].members[0]],
-            ds.signatures[blocks[0].members[1]],
-            ds,
-            counts,
-            schema,
-        )
-        p = ens.predict_from_features(np.stack([v]))
+        sigs = [ds.signatures[m] for m in blocks[0].members[:2]]
+        p = ens.predict_from_features(featurize_pairs(sigs, [0], [1], ds, counts, schema))
         assert D.d[0, 1] == pytest.approx(1.0 - p[0], abs=1e-15)
 
     def test_equals_one_minus_ensemble_of_same_rows_with_vetoes(self, trained, monkeypatch):

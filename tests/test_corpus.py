@@ -218,7 +218,20 @@ class TestNameCounts:
         assert table.first["ann"] == 2
         assert table.first["a"] == 1
         assert table.first_initial_last["a ruiz"] == 3
-        assert table.get_first("nobody") is None
+        assert table.lookup(normalize_name("Ann", None, "Ruiz")) == {
+            "first": 2,
+            "last": 3,
+            "first_last": 2,
+            "first_initial_last": 3,
+        }
+        # absent keys, and the keys of a name without a first name, are None
+        for first in ("Nobody", None):
+            assert table.lookup(normalize_name(first, None, "Ruiz")) == {
+                "first": None,
+                "last": 3,
+                "first_last": None,
+                "first_initial_last": None,
+            }
 
     def test_totals_match_signature_count(self, small_corpus):
         table = build_name_counts(small_corpus)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from andlib import features
 from andlib.blocking import block_key, build_blocks
 from andlib.corpus import Paper, Signature, build_name_counts
-from andlib.errors import SchemaMismatchError
+from andlib.errors import IntegrityError, SchemaMismatchError
 from andlib.features import (
     ADVANCED_NAME_FEATURES,
     MISSING,
@@ -27,13 +27,11 @@ from andlib.features import (
     Vocabulary,
     char_grams,
     default_schema,
-    featurize_pair,
     featurize_pairs,
     jaro_winkler,
     lcs_distance,
     levenshtein,
     mask_nameless,
-    ngram_jaccard,
     prefix_distance,
     set_jaccard,
     word_grams,
@@ -53,6 +51,15 @@ short_text = st.text(alphabet="abcdxy", max_size=6)
 #: the neighbours (Σ), or is already lower case (ς, ß, the ligature ﬁ, a
 #: combining acute accent), plus whitespace
 GRAM_ALPHABET = "aZΣςİß\u0301ﬁ \t"
+
+
+def featurize_one(s1, s2, dataset, counts, schema):
+    """The feature vector of the one pair (s1, s2)."""
+    return featurize_pairs([s1, s2], [0], [1], dataset, counts, schema)[0]
+
+
+def char_jaccard(a: str, b: str, lo: int = 2, hi: int = 4) -> float:
+    return set_jaccard(char_grams(a, lo, hi), char_grams(b, lo, hi))
 
 
 class TestLevenshtein:
@@ -130,31 +137,26 @@ class TestPrefixDistance:
 
 class TestNgramJaccard:
     def test_identical_nonempty(self):
-        assert ngram_jaccard("venue name", "venue name") == 1.0
+        assert char_jaccard("venue name", "venue name") == 1.0
 
     def test_disjoint_char_bigrams(self):
-        assert ngram_jaccard("ab", "cd", "char", (2, 2)) == 0.0
+        assert char_jaccard("ab", "cd", 2, 2) == 0.0
 
     def test_enumerated_overlap(self):
         # {ab,bc,cd} vs {bc,cd,de}: 2 shared of 4
-        assert ngram_jaccard("abcd", "bcde", "char", (2, 2)) == pytest.approx(0.5)
+        assert char_jaccard("abcd", "bcde", 2, 2) == pytest.approx(0.5)
 
     def test_both_empty_is_missing(self):
-        assert math.isnan(ngram_jaccard("", "", "char", (2, 4)))
+        assert math.isnan(char_jaccard("", ""))
 
     def test_one_empty_is_zero(self):
-        assert ngram_jaccard("", "abc", "char", (2, 4)) == 0.0
+        assert char_jaccard("", "abc") == 0.0
 
     def test_text_set_inputs(self):
-        a = ["inst a"]
-        b = ["inst a", "lab b"]
-        assert ngram_jaccard(a, b, "word", (1, 3)) == pytest.approx(3 / 9)
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            ngram_jaccard("a", "b", "char", (3, 2))
-        with pytest.raises(ValueError):
-            ngram_jaccard("a", "b", "char", (0, 2))
+        # a field of several texts is n-grammed as their join with spaces
+        a = word_grams(" ".join(["inst a"]), 1, 3)
+        b = word_grams(" ".join(["inst a", "lab b"]), 1, 3)
+        assert set_jaccard(a, b) == pytest.approx(3 / 9)
 
     def test_gram_helpers(self):
         assert char_grams("abcd", 2, 2) == {"ab", "bc", "cd"}
@@ -210,21 +212,22 @@ class TestFeaturizePair:
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
         if flip:
             s1, s2 = s2, s1
-        return featurize_pair(s1, s2, dataset, counts, schema), schema
+        return featurize_one(s1, s2, dataset, counts, schema), schema
 
     def test_hand_computed_vector(self, pair_fixture):
         v, schema = self.featurize(pair_fixture)
         # reference-bag features are assembled from the cited papers' fields;
-        # expected values come from the independently tested kernels
+        # expected values come from the reference n-gram kernel
+        def reference_jaccard(a: str, b: str) -> float:
+            return set_jaccard(reference_char_grams(a, 2, 4), reference_char_grams(b, 2, 4))
+
         ref_expected = {
-            "ref_author_char_jaccard": ngram_jaccard(
-                "bo xu cy ng", "john r smith ann lee cy ng", "char", (2, 4)
+            "ref_author_char_jaccard": reference_jaccard(
+                "bo xu cy ng", "john r smith ann lee cy ng"
             ),
-            "ref_title_char_jaccard": ngram_jaccard("ee gg", "ab gg", "char", (2, 4)),
-            "ref_venue_char_jaccard": ngram_jaccard("ff hh", "ab cd hh", "char", (2, 4)),
-            "ref_key_char_jaccard": ngram_jaccard(
-                "b xu c ng", "j smith a lee c ng", "char", (2, 4)
-            ),
+            "ref_title_char_jaccard": reference_jaccard("ee gg", "ab gg"),
+            "ref_venue_char_jaccard": reference_jaccard("ff hh", "ab cd hh"),
+            "ref_key_char_jaccard": reference_jaccard("b xu c ng", "j smith a lee c ng"),
         }
         expected = {**EXPECTED_PAIR, **ref_expected}
         assert set(expected) == set(schema.names)
@@ -241,10 +244,17 @@ class TestFeaturizePair:
         b, _ = self.featurize(pair_fixture, flip=True)
         assert np.array_equal(a, b, equal_nan=True)
 
+    def test_missing_paper_is_an_integrity_error(self, pair_fixture):
+        dataset, counts, schema = pair_fixture
+        s1 = dataset.signatures["s1"]
+        orphan = dataclasses.replace(dataset.signatures["s2"], paper_id="no-such-paper")
+        with pytest.raises(IntegrityError, match="'s2' references missing paper"):
+            featurize_one(s1, orphan, dataset, counts, schema)
+
     def test_self_pair(self, pair_fixture):
         dataset, counts, schema = pair_fixture
         s1 = dataset.signatures["s1"]
-        v = featurize_pair(s1, s1, dataset, counts, schema)
+        v = featurize_one(s1, s1, dataset, counts, schema)
         g = dict(zip(schema.names, v))
         assert g["year_diff"] == 0.0
         assert g["position_diff"] == 0.0
@@ -264,9 +274,9 @@ class TestFeaturizePair:
         dataset, counts, schema = pair_fixture
         idx = schema.index("abstract_count")
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
-        assert featurize_pair(s1, s1, dataset, counts, schema)[idx] == 2.0
-        assert featurize_pair(s1, s2, dataset, counts, schema)[idx] == 1.0
-        assert featurize_pair(s2, s2, dataset, counts, schema)[idx] == 0.0
+        assert featurize_one(s1, s1, dataset, counts, schema)[idx] == 2.0
+        assert featurize_one(s1, s2, dataset, counts, schema)[idx] == 1.0
+        assert featurize_one(s2, s2, dataset, counts, schema)[idx] == 0.0
 
     def test_range_invariants_on_synthetic(self, small_corpus):
         from andlib.blocking import build_blocks
@@ -284,7 +294,7 @@ class TestFeaturizePair:
             members = block.members
             for i in range(min(len(members), 4)):
                 for j in range(i + 1, min(len(members), 4)):
-                    v = featurize_pair(
+                    v = featurize_one(
                         small_corpus.signatures[members[i]],
                         small_corpus.signatures[members[j]],
                         small_corpus,
@@ -662,7 +672,7 @@ class TestMaskNameless:
     def test_masks_name_features_only(self, pair_fixture):
         dataset, counts, schema = pair_fixture
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
-        v = featurize_pair(s1, s2, dataset, counts, schema)
+        v = featurize_one(s1, s2, dataset, counts, schema)
         masked = mask_nameless(v, schema)
         for i, spec in enumerate(schema.features):
             if spec.nameless:
@@ -676,13 +686,13 @@ class TestMaskNameless:
     def test_coauthor_features_survive(self, pair_fixture):
         dataset, counts, schema = pair_fixture
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
-        masked = mask_nameless(featurize_pair(s1, s2, dataset, counts, schema), schema)
+        masked = mask_nameless(featurize_one(s1, s2, dataset, counts, schema), schema)
         assert masked[schema.index("coauthor_key_jaccard")] == 1.0
 
     def test_idempotent(self, pair_fixture):
         dataset, counts, schema = pair_fixture
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
-        v = featurize_pair(s1, s2, dataset, counts, schema)
+        v = featurize_one(s1, s2, dataset, counts, schema)
         once = mask_nameless(v, schema)
         twice = mask_nameless(once, schema)
         assert np.array_equal(once, twice, equal_nan=True)

@@ -18,13 +18,18 @@ from andlib.corpus import (
     split_blocks,
 )
 from andlib.errors import AndError, ConfigError, ParseError, SchemaMismatchError
-from andlib.features import FeatureSchema, FeatureSpec, default_schema, mask_nameless
+from andlib.features import (
+    FeatureSchema,
+    FeatureSpec,
+    default_schema,
+    featurize_pairs,
+    mask_nameless,
+)
 from andlib.gbt import HyperParams, Tree, TreeEnsembleModel, fit_boosted_trees, sigmoid
 from andlib.model import (
     EnsembleClassifier,
     LinearModel,
     load_ensemble,
-    predict_ensemble,
     sample_pairs,
     save_ensemble,
     train_gbt,
@@ -742,8 +747,8 @@ class TestEnsemble:
         nameless = train_gbt(X, y, SMALL_HP, (0,) * len(schema), 1, schema)
         ens = EnsembleClassifier(full, nameless, schema)
         s1, s2 = dataset.signatures["s1"], dataset.signatures["s2"]
-        p_ab = predict_ensemble(ens, s1, s2, dataset, counts)
-        p_ba = predict_ensemble(ens, s2, s1, dataset, counts)
+        X = featurize_pairs([s1, s2], [0, 1], [1, 0], dataset, counts, schema)
+        p_ab, p_ba = ens.predict_from_features(X)
         assert 0.0 < p_ab < 1.0
         assert p_ab == p_ba  # symmetry inherited from the featurizer
 
