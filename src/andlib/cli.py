@@ -322,11 +322,19 @@ def cmd_facets(args) -> int:
     return cmd_eval(args)
 
 
+def _seeds(text: str) -> tuple[int, ...]:
+    """The value of ``--seeds``: comma-separated integers >= 0."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isdecimal() for part in parts):
+        raise ConfigError(f"--seeds must be comma-separated integers >= 0, got {text!r}")
+    return tuple(map(int, parts))
+
+
 def cmd_ablate(args) -> int:
     cfg = _run_config(args)
+    seeds = _seeds(args.seeds) if args.seeds else (cfg.seed,)
     dataset = _load_data(args)
     axes = tuple(a.strip() for a in (args.axes or "").split(",") if a.strip())
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else (cfg.seed,)
     rows = pipeline.run_ablation(dataset, cfg, axes, seeds, _load_counts(args, dataset))
     tsv_rows = [
         (r["axis"], f"{r['mean_b3_f1']:.6f}", f"{r['delta']:.6f}") for r in rows

@@ -30,8 +30,9 @@ LINKAGES = ("average", "single", "complete", "ward")
 
 # Pairs featurized and scored per ensemble call (a band): the per-call cost
 # of tree prediction is paid once per band instead of once per block, and
-# the feature matrix of a band, not of a block, bounds scoring memory.
-SCORE_BATCH_PAIRS = 8192
+# the feature matrix of a band, not of a block, bounds scoring memory. At
+# 4,096 rows of 39 features a band is 1.25 MB.
+SCORE_BATCH_PAIRS = 4096
 
 
 @dataclass(frozen=True)

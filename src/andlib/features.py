@@ -32,7 +32,6 @@ reference in the tests, whatever the string hash seed.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import operator
@@ -40,6 +39,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+try:  # CPython's built-in SHA-1; hashlib's loads OpenSSL's libcrypto
+    from _sha1 import sha1 as _sha1
+except ImportError:  # an interpreter built without it
+    from hashlib import sha1 as _sha1
 
 from . import blocking
 from .corpus import Dataset, NameCountsTable, Paper, Signature
@@ -250,9 +254,13 @@ class FeatureSchema:
 
     @property
     def schema_hash(self) -> str:
+        """SHA-1 of the compact JSON feature list. It is the digest of
+        ``hashlib.sha1``, taken with CPython's built-in ``_sha1`` where there
+        is one, so that loading a model does not map OpenSSL's libcrypto
+        (3.5 MB resident) into ``cluster`` and ``eval`` for a 2 kB blob."""
         doc = [[f.name, f.group, f.monotone, f.nameless] for f in self.features]
         blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        return hashlib.sha1(blob).hexdigest()
+        return _sha1(blob).hexdigest()
 
 
 _N = True  # nameless flag, for table readability
@@ -714,7 +722,7 @@ def featurize_pairs(
 # Bytes of scratch one column-wise kernel holds at once: the ANDed bit rows
 # of a chunk of pairs in _compute_features, or the float64 embedding rows of
 # a chunk of pairs in _cosines.
-GRAM_CHUNK_BYTES = 1 << 20
+GRAM_CHUNK_BYTES = 1 << 18
 
 _FEATURE_NAMES = frozenset(f.name for f in _DEFAULT_FEATURES)
 

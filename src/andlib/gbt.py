@@ -210,20 +210,22 @@ class TreeEnsembleModel:
     base_score: float
     constraints: tuple[int, ...]
 
-    def raw_score(self, X: np.ndarray) -> np.ndarray:
+    def raw_score(self, X: np.ndarray, missing: Sequence[int] = ()) -> np.ndarray:
+        """Raw scores of the rows of ``X``, with the columns ``missing``
+        read as NaN (``_forest_leaves``)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         raw = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for start, leaves in _forest_leaves(self.trees, X):
+        for start, leaves in _forest_leaves(self.trees, X, missing):
             part = raw[start : start + leaves.shape[1]]
             # one tree at a time, in order: the bytes of a per-tree loop
             for scaled in self.learning_rate * leaves:
                 part += scaled
         return raw
 
-    def predict_proba(self, v: np.ndarray) -> float | np.ndarray:
+    def predict_proba(self, v: np.ndarray, missing: Sequence[int] = ()) -> float | np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         single = v.ndim == 1
-        p = np.clip(sigmoid(self.raw_score(v)), P_EPS, 1.0 - P_EPS)
+        p = np.clip(sigmoid(self.raw_score(v, missing)), P_EPS, 1.0 - P_EPS)
         return float(p[0]) if single else p
 
 
@@ -273,9 +275,10 @@ def _pack_forest(trees: Sequence[Tree]):
     )
 
 
-def _forest_leaves(trees: Sequence[Tree], X: np.ndarray):
+def _forest_leaves(trees: Sequence[Tree], X: np.ndarray, missing: Sequence[int] = ()):
     """Yield ``(start, leaves)`` over row chunks of ``X``: ``leaves[t, r]``
-    is the value of the leaf that row ``start + r`` reaches in ``trees[t]``.
+    is the value of the leaf that row ``start + r`` reaches in ``trees[t]``
+    when the columns ``missing`` of ``X`` are read as NaN.
 
     Every tree of a chunk moves one level per step, so a level is seven
     array operations over ``FOREST_STEP_CELLS`` (tree, row) cells. NaN
@@ -285,17 +288,20 @@ def _forest_leaves(trees: Sequence[Tree], X: np.ndarray):
     needs. Each level is then one test, ``go_right = v > thr``, which routes
     a row as ``v <= thr or (v is NaN and default left)`` does because every
     threshold is finite (the fit writes only finite ones and
-    ``load_ensemble`` refuses others).
+    ``load_ensemble`` refuses others). A column in ``missing`` is copied as
+    if all NaN, so the trees score a masked matrix without one being made.
     """
     n, n_feat = X.shape
     if not trees:
         return
     col, thr, child, value, roots, depth = _pack_forest(trees)
+    missing = list(missing)
     step = min(FOREST_COPY_ROWS, max(1, FOREST_STEP_CELLS // len(trees)))
     copy_rows = FOREST_COPY_ROWS // step * step
     for lo in range(0, n, copy_rows):
         part = X[lo : lo + copy_rows]
         nan = np.isnan(part)
+        nan[:, missing] = True
         two = np.empty((len(part), n_feat, 2), dtype=np.float64)
         two[:, :, 0] = np.where(nan, -np.inf, part)
         two[:, :, 1] = np.where(nan, np.inf, part)

@@ -219,11 +219,23 @@ class EnsembleClassifier:
     schema: FeatureSchema
 
     def predict_from_features(self, X: np.ndarray) -> np.ndarray:
+        """The members' mean probability for each row of ``X``. A tree
+        nameless member reads the nameless columns of ``X`` as missing as it
+        walks its trees, which scores ``mask_nameless(X)`` to the bit without
+        copying ``X``; a linear member scores that masked copy."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.shape[1] != len(self.schema):
+            raise SchemaMismatchError(
+                f"pair vectors have {X.shape[1]} slots, schema has {len(self.schema)}"
+            )
         p_full = self.full_model.predict_proba(X)
-        if self.nameless_model is None:
+        nameless = self.nameless_model
+        if nameless is None:
             return p_full
-        p_nameless = self.nameless_model.predict_proba(mask_nameless(X, self.schema))
+        if isinstance(nameless, TreeEnsembleModel):
+            p_nameless = nameless.predict_proba(X, self.schema.nameless_indices())
+        else:
+            p_nameless = nameless.predict_proba(mask_nameless(X, self.schema))
         return (p_full + p_nameless) / 2.0
 
 

@@ -134,6 +134,8 @@ class _Author:
 def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) -> Dataset:
     """Build a corpus with a known gold partition. Deterministic in seed."""
     cfg = config or GeneratorConfig()
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     if cfg.n_authors < 1:
         raise ConfigError("need at least one author")
     if cfg.collision_rate > 0 and cfg.n_authors < 2:

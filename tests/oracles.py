@@ -27,6 +27,7 @@ from andlib.features import (
     _NAME_FEATURES,
     MISSING,
     _name_features,
+    mask_nameless,
     set_jaccard,
     word_grams,
 )
@@ -320,6 +321,16 @@ def reference_raw_score(model: TreeEnsembleModel, X: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         raw += model.learning_rate * reference_tree_predict(tree, X)
     return raw
+
+
+def reference_ensemble_proba(ens, X: np.ndarray) -> np.ndarray:
+    """``EnsembleClassifier.predict_from_features`` with every nameless
+    member, tree or linear, scoring the masked copy ``mask_nameless(X)``."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    p_full = ens.full_model.predict_proba(X)
+    if ens.nameless_model is None:
+        return p_full
+    return (p_full + ens.nameless_model.predict_proba(mask_nameless(X, ens.schema))) / 2.0
 
 
 def trace_tree(doc: dict, x: np.ndarray) -> float:

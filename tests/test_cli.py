@@ -15,6 +15,7 @@ from andlib.blocking import build_blocks
 from andlib.cli import main
 from andlib.cluster import names_compatible
 from andlib.corpus import NameCountsTable, load_dataset, load_partition, save_name_counts
+from andlib.features import default_schema
 
 FAST_TRAIN = [
     "--config", "",  # replaced per-test
@@ -768,3 +769,50 @@ class TestTypedErrors:
         data = tmp_path / "c30"
         assert run(["synth", "--out", data, "--seed", 0, "--authors", 30]) == 0
         self.check(["tune", "--data", data, "--out", tmp_path / "t", "--budget", 1], 2)
+
+    def test_synth_with_negative_seed(self, tmp_path):
+        self.check(["synth", "--out", tmp_path / "o", "--seed", -1], 2, message="seed")
+
+    @pytest.mark.parametrize("seeds", ["x", "-1", ","])
+    def test_ablate_with_bad_seeds(self, corpus_dir, fast_config, tmp_path, seeds):
+        self.check(["ablate", "--data", corpus_dir, "--out", tmp_path / "o",
+                    "--config", fast_config, "--seeds", seeds], 2, message="--seeds")
+
+
+class TestNoOpenSSL:
+    """The schema hash comes from CPython's built-in SHA-1, so loading a
+    model does not map OpenSSL's libcrypto into the process."""
+
+    def test_cluster_and_eval_do_not_import_hashlib_backend(
+        self, corpus_dir, trained_dir, tmp_path
+    ):
+        out = tmp_path / "o"
+        cluster = ["cluster", "--data", corpus_dir, "--out", out,
+                   "--model", trained_dir / "model.json"]
+        evaluate = ["eval", "--data", corpus_dir, "--out", out,
+                    "--pred", out / "clusters.json"]
+        script = (
+            "import json, sys\n"
+            "from andlib.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, '_hashlib' in sys.modules]))\n"
+        )
+        argvs = json.dumps([[str(a) for a in cluster], [str(a) for a in evaluate]])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(andlib.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, argvs], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert not loaded
+
+    @pytest.mark.parametrize("drop", [None, "references"])
+    def test_schema_hash_is_hashlib_sha1(self, drop):
+        schema = default_schema()
+        if drop is not None:
+            schema = schema.drop(schema.groups()[drop])
+        doc = [[f.name, f.group, f.monotone, f.nameless] for f in schema.features]
+        blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        assert schema.schema_hash == hashlib.sha1(blob).hexdigest()

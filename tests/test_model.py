@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from andlib import gbt
+from andlib import gbt, pipeline
 from andlib.blocking import build_blocks
 from andlib.corpus import (
     Dataset,
@@ -38,6 +39,7 @@ from andlib.model import (
 )
 from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
 from oracles import (
+    reference_ensemble_proba,
     reference_fit_boosted_trees,
     reference_pair_features,
     reference_profile,
@@ -485,6 +487,137 @@ class TestForestKernel:
                                      depth=depth)
         _assert_kernel_matches_oracle(model, _probe(seed, n_rows, n_features, grid,
                                                     nan=0.25, inf=0.05))
+
+
+class TestBlankedScoring:
+    """A tree member told to read columns as missing scores ``X`` bit for
+    bit like scoring ``mask_nameless(X)``, so ``predict_from_features``
+    needs no masked copy of a band."""
+
+    SCHEMA = toy_schema(5, nameless=(1, 3))
+    BIG = np.finfo(np.float64).max
+    #: every threshold is finite; -BIG is the lowest one a fit can write
+    GRID = np.array([-BIG, -1.0, 0.0, 0.5, 1.0, BIG])
+
+    def hand_tree(self, default_left: bool) -> Tree:
+        """Pre-order: f1 at the root, f3 at -BIG and at 1.0 below it, and f0
+        between, so rows reach the blanked columns by both branches."""
+        d = default_left
+        return Tree(
+            feature=np.array([1, 3, -1, -1, 0, 3, -1, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, -self.BIG, 0, 0, 0.0, 1.0, 0, 0, 0]),
+            left=np.array([1, 2, -1, -1, 5, 6, -1, -1, -1], dtype=np.int32),
+            right=np.array([4, 3, -1, -1, 8, 7, -1, -1, -1], dtype=np.int32),
+            default_left=np.array([d, not d, 1, 1, d, d, 1, 1, 1], dtype=bool),
+            value=np.array([0, 0, 1.0, 2.0, 0, 0, 3.0, 4.0, 5.0]),
+        )
+
+    def inputs(self, seed: int, n_rows: int = 600) -> np.ndarray:
+        """Values from the grid, one ulp either side, NaN, +-inf and normal
+        draws, in every column."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        inner = self.GRID[1:-1]
+        pool = np.concatenate([
+            self.GRID, np.nextafter(self.GRID, 0.0), np.nextafter(inner, -np.inf),
+            np.nextafter(inner, np.inf), [np.nan, np.nan, -np.inf, np.inf],
+        ])
+        X = rng.choice(pool, size=(n_rows, 5))
+        normal = rng.uniform(size=X.shape) < 0.3
+        X[normal] = rng.normal(size=int(normal.sum()))
+        return X
+
+    def check(self, nameless: TreeEnsembleModel, X: np.ndarray) -> None:
+        schema = self.SCHEMA
+        masked = mask_nameless(X, schema)
+        blanked = nameless.raw_score(X, schema.nameless_indices())
+        assert blanked.tobytes() == reference_raw_score(nameless, masked).tobytes()
+        want = nameless.predict_proba(masked)
+        got = nameless.predict_proba(X, schema.nameless_indices())
+        assert got.tobytes() == want.tobytes()
+        full, _ = _random_forest(7, n_features=5)
+        ens = EnsembleClassifier(full, nameless, schema)
+        assert ens.predict_from_features(X).tobytes() == (
+            reference_ensemble_proba(ens, X).tobytes()
+        )
+
+    @pytest.mark.parametrize("default_left", [True, False])
+    def test_hand_tree_under_both_default_directions(self, default_left):
+        model = TreeEnsembleModel(
+            trees=[self.hand_tree(default_left)], learning_rate=0.3, base_score=-0.2,
+            constraints=(0,) * 5,
+        )
+        X = self.inputs(0)
+        # rows that a blank reroutes: -inf or -BIG would go left, +inf right
+        X[:4, 1] = X[:4, 3] = [-np.inf, -self.BIG, np.inf, self.BIG]
+        self.check(model, X)
+        assert not np.array_equal(model.raw_score(X), model.raw_score(X, (1, 3)))
+
+    @pytest.mark.parametrize("default_left", [True, False, None])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_trees_on_the_grid(self, default_left, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        trees = [_random_tree(rng, 5, 6, self.GRID, default_left=default_left)
+                 for _ in range(15)]
+        model = TreeEnsembleModel(trees=trees, learning_rate=0.1, base_score=0.4,
+                                  constraints=(0,) * 5)
+        self.check(model, self.inputs(seed + 10))
+
+    def test_missing_rows_everywhere(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        trees = [_random_tree(rng, 5, 4, self.GRID) for _ in range(6)]
+        model = TreeEnsembleModel(trees=trees, learning_rate=0.2, base_score=0.0,
+                                  constraints=(0,) * 5)
+        X = self.inputs(5, 50)
+        X[::3] = np.nan
+        self.check(model, X)
+
+    @pytest.mark.parametrize("classifier", ["gbt", "linear"])
+    def test_trained_ensemble_with_a_dropped_group(self, small_corpus, classifier):
+        schema = pipeline.resolve_schema(pipeline.RunConfig(drop_features=("references",)))
+        ds = split_blocks(small_corpus, seed=2)
+        pairs = sample_pairs(ds, "train", 1500, 9, build_name_counts(ds), schema)
+        masked = mask_nameless(pairs.X, schema)
+        if classifier == "gbt":
+            constraints = schema.monotone_constraints()
+            full = train_gbt(pairs.X, pairs.y, SMALL_HP, constraints, 0, schema)
+            nameless = train_gbt(masked, pairs.y, SMALL_HP, constraints, 1, schema)
+        else:
+            full, nameless = train_linear(pairs.X, pairs.y), train_linear(masked, pairs.y)
+        ens = EnsembleClassifier(full, nameless, schema)
+        probe = np.concatenate([pairs.X, np.flip(pairs.X, axis=0) + 0.25])
+        assert ens.predict_from_features(probe).tobytes() == (
+            reference_ensemble_proba(ens, probe).tobytes()
+        )
+
+    def test_wrong_width_is_a_schema_mismatch(self):
+        model, _ = _random_forest(3, n_features=5)
+        ens = EnsembleClassifier(model, model, self.SCHEMA)
+        with pytest.raises(SchemaMismatchError):
+            ens.predict_from_features(np.zeros((2, 4)))
+
+
+def test_band_scoring_peaks_below_half_the_band(small_corpus):
+    # a 40,000-row band of 39 features is 12.5 MB; a masked copy of it for
+    # the nameless member would be all of that again
+    schema = default_schema()
+    ds = split_blocks(small_corpus, seed=1)
+    pairs = sample_pairs(ds, "train", 2000, 0, build_name_counts(ds), schema)
+    hp = HyperParams(n_trees=40, max_leaves=12)
+    constraints = schema.monotone_constraints()
+    full = train_gbt(pairs.X, pairs.y, hp, constraints, 0, schema)
+    nameless = train_gbt(mask_nameless(pairs.X, schema), pairs.y, hp, constraints, 1, schema)
+    ens = EnsembleClassifier(full, nameless, schema)
+    rows = np.random.Generator(np.random.PCG64(0)).integers(0, len(pairs), 40_000)
+    X = pairs.X[rows]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        p = ens.predict_from_features(X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert p.shape == (40_000,)
+    assert peak < X.nbytes / 2
 
 
 class TestPrediction:
