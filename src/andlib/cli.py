@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import blocking, cluster, metrics, model, pipeline
-from .cluster import ClusterParams
+from .cluster import STORED_CLUSTER_PARAMS, ClusterParams
 from .corpus import (
     Dataset,
     build_name_counts,
@@ -35,7 +35,6 @@ from .errors import (
     ParseError,
     SchemaMismatchError,
 )
-from .gbt import HyperParams
 from .pipeline import RunConfig
 from .synthetic import GeneratorConfig, generate_synthetic_corpus
 
@@ -194,10 +193,7 @@ def cmd_train(args) -> int:
             result.hyperparams,
             cfg.seed,
             cluster_params={
-                "linkage": result.cluster_params.linkage,
-                "eps": result.cluster_params.eps,
-                "method": result.cluster_params.method,
-                "dbscan_min_samples": result.cluster_params.dbscan_min_samples,
+                key: getattr(result.cluster_params, key) for key in STORED_CLUSTER_PARAMS
             },
         )
     _write_json(result.dataset.splits, args.out, "splits.json")
@@ -245,14 +241,12 @@ def cmd_cluster(args) -> int:
     dataset = _load_data(args)
     counts = _load_counts(args, dataset)
     ens, meta = model.load_ensemble(args.model)
-    stored = meta.get("cluster_params") or {}
-    params = ClusterParams(
-        linkage=args.linkage or stored.get("linkage", "average"),
-        eps=args.eps if args.eps is not None else stored.get("eps", 0.5),
-        method=args.method or stored.get("method", "hac"),
-        dbscan_min_samples=stored.get("dbscan_min_samples", 2),
-        name_rules=not args.no_name_rules,
-    )
+    flags = {key: getattr(args, key, None) for key in STORED_CLUSTER_PARAMS}
+    params = ClusterParams.from_doc({
+        **(meta.get("cluster_params") or {}),
+        **{key: value for key, value in flags.items() if value is not None},
+        "name_rules": not args.no_name_rules,
+    })
     pred = cluster.cluster_corpus(dataset, ens, params, counts, jobs=args.jobs)
     out_path = os.path.join(args.out, "clusters.json")
     with _writing():
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tune-budget", type=int)
             p.add_argument("--eps-budget", type=int)
             p.add_argument("--linkage", choices=cluster.LINKAGES)
-            p.add_argument("--method", choices=("hac", "dbscan"))
+            p.add_argument("--method", choices=cluster.METHODS)
             p.add_argument("--eps", type=float)
             p.add_argument("--classifier", choices=("gbt", "linear"))
             p.add_argument("--knockout", action="store_true")
@@ -414,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--name-counts")
     p.add_argument("--linkage", choices=cluster.LINKAGES)
-    p.add_argument("--method", choices=("hac", "dbscan"))
+    p.add_argument("--method", choices=cluster.METHODS)
     p.add_argument("--eps", type=float)
     p.add_argument("--no-name-rules", action="store_true")
     p.add_argument("--jobs", type=int, default=default_jobs)

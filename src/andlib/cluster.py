@@ -25,8 +25,10 @@ from .blocking import Block
 from .corpus import Dataset, NameCountsTable, Partition
 from .errors import ConfigError
 from .model import EnsembleClassifier
+from .settings import FLAG, UNIT, Settings, integer, one_of, setting
 
 LINKAGES = ("average", "single", "complete", "ward")
+METHODS = ("hac", "dbscan")
 
 # Pairs featurized and scored per ensemble call (a band): the per-call cost
 # of tree prediction is paid once per band instead of once per block, and
@@ -36,23 +38,20 @@ SCORE_BATCH_PAIRS = 4096
 
 
 @dataclass(frozen=True)
-class ClusterParams:
-    linkage: str = "average"
-    eps: float = 0.5
-    method: str = "hac"
-    dbscan_min_samples: int = 2
-    # veto merges of records with incompatible full first names
-    name_rules: bool = True
+class ClusterParams(Settings):
+    NOUN = "cluster parameter"
+    DOC = "cluster_params"
 
-    def __post_init__(self):
-        if self.linkage not in LINKAGES:
-            raise ConfigError(f"unknown linkage {self.linkage!r}")
-        if self.method not in ("hac", "dbscan"):
-            raise ConfigError(f"unknown clustering method {self.method!r}")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ConfigError(f"eps must be in [0,1], got {self.eps}")
-        if self.dbscan_min_samples < 1:
-            raise ConfigError("dbscan_min_samples must be >= 1")
+    linkage: str = setting("average", one_of(*LINKAGES))
+    eps: float = setting(0.5, UNIT)
+    method: str = setting("hac", one_of(*METHODS))
+    dbscan_min_samples: int = setting(2, integer(1))
+    # veto merges of records with incompatible full first names
+    name_rules: bool = setting(True, FLAG)
+
+
+#: the ClusterParams values a model file stores; name_rules is set per run
+STORED_CLUSTER_PARAMS = ("linkage", "eps", "method", "dbscan_min_samples")
 
 
 @dataclass
@@ -280,11 +279,13 @@ _NOISE = -2
 
 def dbscan_cluster(D: DistanceMatrix, eps: float, min_samples: int = 2) -> Partition:
     """Density clustering over the precomputed matrix; noise points become
-    singleton clusters so every record receives a label."""
+    singleton clusters so every record receives a label. A vetoed pair is
+    never in one neighbourhood, even at ``eps`` = 1, though a third record
+    can still join it."""
     if min_samples < 1:
         raise ConfigError("min_samples must be >= 1")
     n = D.d.shape[0]
-    neigh = [np.nonzero(D.d[i] <= eps)[0] for i in range(n)]
+    neigh = [np.nonzero((D.d[i] <= eps) & ~D.veto[i])[0] for i in range(n)]
     core = [len(neigh[i]) >= min_samples for i in range(n)]
     labels = np.full(n, _UNVISITED, dtype=np.int64)
     cluster = 0
@@ -417,7 +418,7 @@ def cluster_corpus(
     order, a pair's score does not depend on the band it is scored in,
     workers take whole groups of blocks (_score_groups), and each block's
     clustering is deterministic. A serial run scores all blocks in one
-    walk of bands.
+    walk of bands; a parallel one starts no more workers than groups.
     """
     if blocks is None:
         blocks = blocking.build_blocks(dataset)
@@ -427,7 +428,7 @@ def cluster_corpus(
         import multiprocessing
 
         ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=jobs, initializer=_init_worker, initargs=state) as pool:
+        with ctx.Pool(min(jobs, len(groups)), initializer=_init_worker, initargs=state) as pool:
             parts = [part for group in pool.map(_cluster_blocks, groups) for part in group]
     else:
         parts = _cluster_blocks(blocks, state)

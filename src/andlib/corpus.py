@@ -32,6 +32,7 @@ from .errors import (
     IntegrityError,
     ParseError,
 )
+from .settings import is_int, is_number
 
 SPLITS = ("train", "val", "test")
 
@@ -186,7 +187,7 @@ def _parse_paper(paper_id: str, raw: dict) -> Paper:
     for entry in authors:
         entry = entry if isinstance(entry, dict) else {}
         pos, name = entry.get("position"), entry.get("name")
-        if type(pos) is not int or not isinstance(name, str):  # bool is an int
+        if not is_int(pos) or not isinstance(name, str):
             raise ParseError(
                 f"paper {paper_id!r}: author entry needs an integer position "
                 "and a string name"
@@ -202,7 +203,7 @@ def _parse_paper(paper_id: str, raw: dict) -> Paper:
     if paper_id in references:
         raise IntegrityError(f"paper {paper_id!r} lists itself as a reference")
     year = raw.get("year")
-    if year is not None and type(year) is not int:  # bool is an int subclass
+    if year is not None and not (is_int(year) and is_number(year)):
         raise ParseError(f"paper {paper_id!r}: year must be an integer")
     return Paper(
         paper_id=paper_id,
@@ -227,7 +228,7 @@ def _parse_signature(raw: dict) -> Signature:
         raise ParseError(f"malformed signature record: {raw!r}") from exc
     if not all(isinstance(v, str) for v in (sig_id, paper_id, last)):
         raise ParseError(f"signature ids and last name must be strings: {raw!r}")
-    if type(position) is not int or position < 1:  # bool is an int subclass
+    if not is_int(position) or position < 1:
         raise IntegrityError(f"signature {sig_id!r}: bad author_position {position!r}")
     affiliations = _str_list(raw, "affiliations", f"signature {sig_id!r}")
     return Signature(
@@ -298,16 +299,14 @@ def load_dataset(
             vectors = emb_raw["vectors"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{embeddings_file}: missing dim/vectors header") from exc
-        if type(dim) is not int or dim < 0:
+        if not is_int(dim) or dim < 0:
             raise ParseError(f"{embeddings_file}: dim must be an integer >= 0, got {dim!r}")
         if not isinstance(vectors, dict):
             raise ParseError(f"{embeddings_file}: vectors must be an object")
         for pid, vec in vectors.items():
             if pid not in papers:
                 raise IntegrityError(f"embedding for unknown paper {pid!r}")
-            if not isinstance(vec, list) or not all(
-                type(x) in (int, float) for x in vec  # bool is an int subclass
-            ):
+            if not isinstance(vec, list) or not all(map(is_number, vec)):
                 raise ParseError(f"embedding for {pid!r} is not a list of numbers")
             if len(vec) != dim:
                 raise DimensionError(
@@ -482,7 +481,7 @@ def load_name_counts(path: str | os.PathLike) -> NameCountsTable:
     for name in ("first", "last", "first_last", "first_initial_last"):
         table = raw.get(name) if isinstance(raw, dict) else None
         if not isinstance(table, dict) or not all(
-            type(v) is int and v >= 0 for v in table.values()  # bool is an int subclass
+            is_int(v) and is_number(v) and v >= 0 for v in table.values()
         ):
             raise ParseError(
                 f"{path}: {name!r} must be an object of non-negative integer counts"

@@ -52,13 +52,13 @@ raw score has the bytes of a tree-by-tree loop.
 from __future__ import annotations
 
 import heapq
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+from .settings import Settings, integer, is_number, number, setting
 
 #: probabilities are clipped into the open interval (0, 1)
 P_EPS = 1e-15
@@ -81,47 +81,29 @@ FOREST_STEP_CELLS = 1 << 15
 FOREST_COPY_ROWS = 512
 
 
+#: a row or feature fraction
+_FRACTION = (lambda v: is_number(v) and 0 < v <= 1), "a number in (0, 1]"
+
+
 @dataclass(frozen=True)
-class HyperParams:
+class HyperParams(Settings):
     """Training knobs. All eleven non-binning knobs are searchable."""
 
-    n_trees: int = 100
-    max_leaves: int = 32
-    max_depth: int = 8
-    learning_rate: float = 0.1
-    min_samples_leaf: int = 5
-    feature_fraction: float = 0.9
-    row_subsample: float = 0.9
-    l2_regularization: float = 1.0
-    l1_regularization: float = 0.0
-    min_split_gain: float = 0.0
-    min_child_weight: float = 1e-3
-    max_bins: int = 255
+    NOUN = "hyperparameter"
+    DOC = "hyperparams"
 
-    def to_doc(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "HyperParams":
-        """Refuse unknown names and values that are not non-negative numbers
-        (integers where the default is one; the two fractions in (0, 1])."""
-        known = {f.name: f.default for f in fields(cls)}
-        unknown = set(doc) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown hyperparameters: {sorted(unknown)}")
-        for name, value in doc.items():
-            is_int = isinstance(value, int) and not isinstance(value, bool)
-            if isinstance(known[name], int):
-                ok, meaning = is_int and value >= 0, "an integer >= 0"
-            elif name in ("feature_fraction", "row_subsample"):
-                ok = (is_int or isinstance(value, float)) and 0 < value <= 1
-                meaning = "a number in (0, 1]"
-            else:  # a finite float, or an int a float can hold
-                ok = (is_int or isinstance(value, float)) and 0 <= value <= sys.float_info.max
-                meaning = "a number >= 0"
-            if not ok:
-                raise ConfigError(f"hyperparameter {name!r} must be {meaning}, got {value!r}")
-        return cls(**doc)
+    n_trees: int = setting(100, integer(0))
+    max_leaves: int = setting(32, integer(0))
+    max_depth: int = setting(8, integer(0))
+    learning_rate: float = setting(0.1, number(0))
+    min_samples_leaf: int = setting(5, integer(0))
+    feature_fraction: float = setting(0.9, _FRACTION)
+    row_subsample: float = setting(0.9, _FRACTION)
+    l2_regularization: float = setting(1.0, number(0))
+    l1_regularization: float = setting(0.0, number(0))
+    min_split_gain: float = setting(0.0, number(0))
+    min_child_weight: float = setting(1e-3, number(0))
+    max_bins: int = setting(255, integer(0))
 
 
 #: declared search ranges: (kind, low, high); kind in {int, int_log, float, float_log}

@@ -38,6 +38,7 @@ from .gbt import (
     sample_hyperparams,
     sigmoid,
 )
+from .settings import is_int, is_number
 
 MODEL_FORMAT_VERSION = 1
 
@@ -301,19 +302,16 @@ def _member_to_doc(model) -> dict:
 
 def _ints(values, lo: int, hi: int) -> list:
     """``values`` if it is a JSON list of integers in ``[lo, hi)``."""
-    if not (isinstance(values, list) and all(type(v) is int and lo <= v < hi for v in values)):
+    if not (isinstance(values, list) and all(is_int(v) and lo <= v < hi for v in values)):
         raise ValueError(f"expected a list of integers in [{lo}, {hi})")
     return values
 
 
 def _reals(values) -> np.ndarray:
-    """A JSON list of finite numbers as float64; a bool is not a number."""
-    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+    """A JSON list of finite numbers (``is_number``) as float64."""
+    if not (isinstance(values, list) and all(map(is_number, values))):
         raise ValueError("expected a list of numbers")
-    out = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("a number is not finite")
-    return out
+    return np.asarray(values, dtype=np.float64)
 
 
 def _real(value) -> float:
@@ -409,15 +407,6 @@ def save_ensemble(
         fh.write("\n")
 
 
-#: the type each stored cluster_params value needs to make a ClusterParams
-_CLUSTER_PARAM_TYPES = {
-    "linkage": lambda v: isinstance(v, str),
-    "method": lambda v: isinstance(v, str),
-    "eps": lambda v: type(v) in (int, float),  # bool is an int subclass
-    "dbscan_min_samples": lambda v: type(v) is int,
-}
-
-
 def _spec_from_doc(entry) -> FeatureSpec:
     """A stored schema entry ``[name, group, monotone, nameless]``, refused
     unless each value has its exact JSON type."""
@@ -426,40 +415,28 @@ def _spec_from_doc(entry) -> FeatureSpec:
     name, group, mono, nameless = entry
     if not (isinstance(name, str) and isinstance(group, str)):
         raise ValueError("a feature name and group must be strings")
-    if not (type(mono) is int and mono in (-1, 0, 1)):
+    if not (is_int(mono) and mono in (-1, 0, 1)):
         raise ValueError(f"a monotone value must be -1, 0 or 1, got {mono!r}")
     if type(nameless) is not bool:
         raise ValueError(f"a nameless flag must be a boolean, got {nameless!r}")
     return FeatureSpec(name, group, mono, nameless)
 
 
-def _check_cluster_params(params) -> None:
-    """Refuse stored cluster_params unless they are null or an object of
-    known keys whose values make a valid ClusterParams."""
-    from .cluster import ClusterParams  # cluster imports this module
+def _check_settings(doc) -> None:
+    """Refuse stored ``cluster_params`` and ``hyperparams`` unless each is
+    null or makes valid settings: cluster_params of its stored keys only,
+    hyperparams naming every hyperparameter."""
+    from .cluster import STORED_CLUSTER_PARAMS, ClusterParams  # cluster imports this module
 
-    if params is None:
-        return
-    if not (
-        isinstance(params, dict)
-        and set(params) <= _CLUSTER_PARAM_TYPES.keys()
-        and all(_CLUSTER_PARAM_TYPES[key](value) for key, value in params.items())
-    ):
-        raise ValueError(
-            "cluster_params must be null or an object with a string linkage and "
-            "method, a number eps and an integer dbscan_min_samples"
-        )
-    ClusterParams(**params)
-
-
-def _check_hyperparams(doc) -> None:
-    """Refuse stored hyperparams unless they are null or name every
-    hyperparameter with a valid value."""
-    if doc is None:
-        return
-    if not (isinstance(doc, dict) and set(doc) == set(HyperParams().to_doc())):
-        raise ValueError("hyperparams must be null or an object naming every hyperparameter")
-    HyperParams.from_doc(doc)
+    params, hp = doc.get("cluster_params"), doc.get("hyperparams")
+    if params is not None:
+        if isinstance(params, dict) and not set(params) <= set(STORED_CLUSTER_PARAMS):
+            raise ValueError(f"cluster_params may hold only {', '.join(STORED_CLUSTER_PARAMS)}")
+        ClusterParams.from_doc(params)
+    if hp is not None:
+        if isinstance(hp, dict) and set(hp) != set(HyperParams().to_doc()):
+            raise ValueError("hyperparams must name every hyperparameter")
+        HyperParams.from_doc(hp)
 
 
 def load_ensemble(
@@ -477,7 +454,7 @@ def load_ensemble(
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a model object")
     version = doc.get("format_version")
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+    if not is_int(version) or version != MODEL_FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported model format {version!r}")
     try:
         entries = doc["schema"]["features"]
@@ -504,20 +481,14 @@ def load_ensemble(
             if doc.get("nameless") is not None
             else None
         )
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model member: {exc!r}") from exc
-    cluster_params = doc.get("cluster_params")
     try:
-        _check_cluster_params(cluster_params)
-        _check_hyperparams(doc.get("hyperparams"))
-        if type(doc.get("seed")) is not int:
+        _check_settings(doc)
+        if not is_int(doc.get("seed")):
             raise ValueError(f"seed must be an integer, got {doc.get('seed')!r}")
     except (ConfigError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     ens = EnsembleClassifier(full_model=full, nameless_model=nameless, schema=schema)
-    meta = {
-        "hyperparams": doc.get("hyperparams"),
-        "seed": doc.get("seed"),
-        "cluster_params": cluster_params,
-    }
+    meta = {key: doc.get(key) for key in ("hyperparams", "seed", "cluster_params")}
     return ens, meta

@@ -7,8 +7,7 @@ Every entry point is deterministic given (dataset, config, seed).
 from __future__ import annotations
 
 import dataclasses
-import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,91 +31,26 @@ from .features import (
 )
 from .gbt import HyperParams
 from .model import EnsembleClassifier, PairSample, sample_pairs
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one training/clustering run."""
-
-    seed: int = 0
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    train_cap: int = 100_000
-    val_cap: int = 10_000
-    tune_budget: int = 0  # 0 = use default/overridden hyperparameters
-    eps_budget: int = 24
-    linkage: str = "average"
-    method: str = "hac"
-    dbscan_min_samples: int = 2
-    eps: float | None = None  # None = tune on validation blocks
-    hyperparams: dict = field(default_factory=dict)
-    knockout: bool = False
-    knockout_probability: float = 0.3
-    drop_features: tuple[str, ...] = ()
-    use_nameless: bool = True
-    use_monotone: bool = True
-    classifier: str = "gbt"  # or "linear"
-    linear_regularization: float = 1e-3
-    name_rules: bool = True
-    jobs: int = 1
-
-    def to_doc(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("a run config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            check, meaning = _CONFIG_RULES[key]
-            if not check(value):
-                raise ConfigError(f"config key {key!r} must be {meaning}, got {value!r}")
-        clean = dict(doc)
-        for key in ("fractions", "drop_features"):
-            if key in clean and clean[key] is not None:
-                clean[key] = tuple(clean[key])
-        return cls(**clean)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite float, or an int a float can hold."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
-def _at_least(low: int):
-    return lambda value: _is_int(value) and value >= low
-
-
-def _unit(value) -> bool:
-    return _is_number(value) and 0.0 <= value <= 1.0
-
-
-def _one_of(*options: str):
-    return lambda value: isinstance(value, str) and value in options
+from .settings import (
+    FLAG,
+    UNIT,
+    Settings,
+    integer,
+    is_number,
+    number,
+    one_of,
+    optional,
+    setting,
+)
 
 
 def _fractions(value) -> bool:
     return (
         isinstance(value, (list, tuple))
         and len(value) == 3
-        and all(_unit(f) for f in value)
+        and all(is_number(f) and 0 <= f <= 1 for f in value)
         and abs(sum(value) - 1.0) <= 1e-9
     )
-
-
-def _flag(value) -> bool:
-    return isinstance(value, bool)
 
 
 def _hyperparams(value) -> bool:
@@ -124,32 +58,40 @@ def _hyperparams(value) -> bool:
     return isinstance(value, dict) and HyperParams.from_doc(value) is not None
 
 
-#: what each RunConfig value must be: (check, meaning for the error message)
-_CONFIG_RULES = {
-    "seed": (_at_least(0), "an integer >= 0"),
-    "fractions": (_fractions, "three numbers in [0, 1] that sum to 1"),
-    "train_cap": (_at_least(1), "an integer >= 1"),
-    "val_cap": (_at_least(1), "an integer >= 1"),
-    "tune_budget": (_at_least(0), "an integer >= 0"),
-    "eps_budget": (_at_least(1), "an integer >= 1"),
-    "linkage": (_one_of(*cluster.LINKAGES), f"one of {', '.join(cluster.LINKAGES)}"),
-    "method": (_one_of("hac", "dbscan"), "hac or dbscan"),
-    "dbscan_min_samples": (_at_least(1), "an integer >= 1"),
-    "eps": (lambda v: v is None or _unit(v), "null or a number in [0, 1]"),
-    "hyperparams": (_hyperparams, "an object of hyperparameters"),
-    "knockout": (_flag, "true or false"),
-    "knockout_probability": (_unit, "a number in [0, 1]"),
-    "drop_features": (
+@dataclass(frozen=True)
+class RunConfig(Settings):
+    """Resolved settings for one training/clustering run."""
+
+    NOUN = "config key"
+    DOC = "a run config"
+
+    seed: int = setting(0, integer(0))
+    fractions: tuple[float, float, float] = setting(
+        (0.8, 0.1, 0.1), (_fractions, "three numbers in [0, 1] that sum to 1")
+    )
+    train_cap: int = setting(100_000, integer(1))
+    val_cap: int = setting(10_000, integer(1))
+    tune_budget: int = setting(0, integer(0))  # 0 = use default/overridden hyperparameters
+    eps_budget: int = setting(24, integer(1))
+    linkage: str = setting("average", one_of(*cluster.LINKAGES))
+    method: str = setting("hac", one_of(*cluster.METHODS))
+    dbscan_min_samples: int = setting(2, integer(1))
+    eps: float | None = setting(None, optional(UNIT))  # None = tune on validation blocks
+    hyperparams: dict = setting(
+        rule=(_hyperparams, "an object of hyperparameters"), default_factory=dict
+    )
+    knockout: bool = setting(False, FLAG)
+    knockout_probability: float = setting(0.3, UNIT)
+    drop_features: tuple[str, ...] = setting((), (
         lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
         "a list of feature or group names",
-    ),
-    "use_nameless": (_flag, "true or false"),
-    "use_monotone": (_flag, "true or false"),
-    "classifier": (_one_of("gbt", "linear"), "gbt or linear"),
-    "linear_regularization": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    "name_rules": (_flag, "true or false"),
-    "jobs": (_at_least(1), "an integer >= 1"),
-}
+    ))
+    use_nameless: bool = setting(True, FLAG)
+    use_monotone: bool = setting(True, FLAG)
+    classifier: str = setting("gbt", one_of("gbt", "linear"))
+    linear_regularization: float = setting(1e-3, number(0))
+    name_rules: bool = setting(True, FLAG)
+    jobs: int = setting(1, integer(1))
 
 
 def resolve_schema(cfg: RunConfig) -> FeatureSchema:

@@ -18,84 +18,46 @@ within an author's own cluster.
 
 from __future__ import annotations
 
-import math
-import sys
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Dataset, Paper, Partition, Signature
 from .errors import ConfigError
+from .settings import UNIT, Settings, integer, is_int, number, setting
 
 _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    n_authors: int = 100
-    mean_papers: float = 5.0
-    collision_rate: float = 0.15
-    homonym_rate: float = 0.4
-    same_community_collision: float = 0.35
-    variant_rate: float = 0.25
-    middle_drop_rate: float = 0.5
-    community_size: int = 8
-    embedding_dim: int = 16
-    embedding_noise: float = 0.8
-    affiliation_missing: float = 0.3
-    email_missing: float = 0.55
-    venue_missing: float = 0.15
-    year_missing: float = 0.05
-    abstract_missing: float = 0.3
-    venue_noise: float = 0.15
-    coauthor_noise: float = 0.2
-    other_language_rate: float = 0.08
-    self_cite_rate: float = 0.3
+class GeneratorConfig(Settings):
+    NOUN = "generator setting"
+    DOC = "a generator config"
+
+    n_authors: int = setting(100, integer(1))
+    mean_papers: float = setting(5.0, number(1))
+    collision_rate: float = setting(0.15, UNIT)
+    homonym_rate: float = setting(0.4, UNIT)
+    same_community_collision: float = setting(0.35, UNIT)
+    variant_rate: float = setting(0.25, UNIT)
+    middle_drop_rate: float = setting(0.5, UNIT)
+    community_size: int = setting(8, integer(1))
+    embedding_dim: int = setting(16, integer(0))
+    embedding_noise: float = setting(0.8, number(0))
+    affiliation_missing: float = setting(0.3, UNIT)
+    email_missing: float = setting(0.55, UNIT)
+    venue_missing: float = setting(0.15, UNIT)
+    year_missing: float = setting(0.05, UNIT)
+    abstract_missing: float = setting(0.3, UNIT)
+    venue_noise: float = setting(0.15, UNIT)
+    coauthor_noise: float = setting(0.2, UNIT)
+    other_language_rate: float = setting(0.08, UNIT)
+    self_cite_rate: float = setting(0.3, UNIT)
     #: fraction of venue/title/affiliation signal drawn from community-wide
     #: pools instead of the author's own; 1.0 makes same-community homonyms
     #: separable only by embeddings, co-authors, references, and email
-    shared_metadata: float = 0.0
-
-    def to_doc(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "GeneratorConfig":
-        """Refuse unknown names and values of the wrong type or range:
-        integers where the default is one, rates in [0, 1]."""
-        if not isinstance(doc, dict):
-            raise ConfigError("a generator config must be a JSON object")
-        known = {f.name: f.default for f in fields(cls)}
-        unknown = set(doc) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown generator settings: {sorted(unknown)}")
-        for name, value in doc.items():
-            integer = isinstance(known[name], int)
-            is_int = isinstance(value, int) and not isinstance(value, bool)
-            low, high = _SETTING_RANGES.get(name, (0, 1))
-            if not (
-                (is_int or (not integer and isinstance(value, float)))
-                and low <= value <= high
-            ):
-                kind = "an integer" if integer else "a number"
-                bound = f"in [{low}, {high}]" if high == 1 else f">= {low}"
-                raise ConfigError(
-                    f"generator setting {name!r} must be {kind} {bound}, got {value!r}"
-                )
-        return cls(**doc)
-
-
-#: the range of each GeneratorConfig value that is not a rate in [0, 1]; a
-#: float must be finite
-_SETTING_RANGES = {
-    "n_authors": (1, math.inf),
-    "community_size": (1, math.inf),
-    "embedding_dim": (0, math.inf),
-    "mean_papers": (1, sys.float_info.max),
-    "embedding_noise": (0, sys.float_info.max),
-}
+    shared_metadata: float = setting(0.0, UNIT)
 
 
 def _word(rng: np.random.Generator, n_syllables: int) -> str:
@@ -134,16 +96,10 @@ class _Author:
 def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) -> Dataset:
     """Build a corpus with a known gold partition. Deterministic in seed."""
     cfg = config or GeneratorConfig()
-    if not (isinstance(seed, int) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    if cfg.n_authors < 1:
-        raise ConfigError("need at least one author")
     if cfg.collision_rate > 0 and cfg.n_authors < 2:
         raise ConfigError("name collisions require at least two authors")
-    if cfg.mean_papers < 1:
-        raise ConfigError("mean_papers must be >= 1")
-    if not 0 <= cfg.collision_rate <= 1:
-        raise ConfigError("collision_rate must be in [0,1]")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     n_communities = max(1, cfg.n_authors // cfg.community_size)

@@ -534,6 +534,30 @@ class TestTypedErrors:
         self.check(["eval", "--data", data, "--pred", data / "clusters.json",
                     "--out", tmp_path / "o"], 3, message="is not a list of numbers")
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "infinity", "minus_infinity", "int_past_float"])
+    def test_embedding_value_not_a_finite_number(self, tmp_path, value):
+        # Python's json reads all four; a NaN vector used to count as missing,
+        # an infinite one gave NaN cosines, and the integer ended in a traceback
+        data = tmp_path / "data"
+        write_corpus(data, {"p": {"title": "t",
+                                  "authors": [{"position": 1, "name": "A B"}]}})
+        (data / "embeddings.json").write_text(
+            '{"dim": 2, "vectors": {"p": [0.5, %s]}}' % value
+        )
+        (data / "clusters.json").write_text(json.dumps({"c": ["s"]}))
+        self.check(["eval", "--data", data, "--pred", data / "clusters.json",
+                    "--out", tmp_path / "o"], 3, message="is not a list of numbers")
+
+    def test_year_past_float_range(self, tmp_path):
+        data = tmp_path / "data"
+        write_corpus(data, {"p": {"title": "t", "year": 10**400,
+                                  "authors": [{"position": 1, "name": "A B"}]}})
+        (data / "clusters.json").write_text(json.dumps({"c": ["s"]}))
+        self.check(["eval", "--data", data, "--pred", data / "clusters.json",
+                    "--out", tmp_path / "o", "--facets", "year"],
+                   3, message="year must be an integer")
+
     @pytest.mark.parametrize("doc, message", [
         (["s"], "expected an object of clusters"),
         ({"c": 5}, "must be an array of signature ids"),
@@ -565,7 +589,8 @@ class TestTypedErrors:
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["first"].update({next(iter(doc["first"])): "x"}),
         lambda doc: doc.update({"last": sorted(doc["last"])}),
-    ], ids=["count_string", "table_list"])
+        lambda doc: doc["first"].update({next(iter(doc["first"])): 10**400}),
+    ], ids=["count_string", "table_list", "count_past_float_range"])
     def test_malformed_name_counts(self, corpus_dir, trained_dir, tmp_path, edit):
         data = tmp_path / "data"
         shutil.copytree(corpus_dir, data)

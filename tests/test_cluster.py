@@ -207,6 +207,22 @@ class TestDbscan:
             fast = index_groups(dbscan_cluster(D, eps, ms), D.block.members)
             assert fast == naive_dbscan(d, eps, ms)
 
+    @pytest.mark.parametrize("min_samples", [1, 2])
+    def test_vetoed_pair_never_neighbours_even_at_eps_one(self, min_samples):
+        # a vetoed pair sits at distance 1.0, which eps = 1.0 used to reach
+        vetoed = [[False, True], [True, False]]
+        D = matrix([[0, 1], [1, 0]], veto=vetoed, members="ab")
+        part = cluster.cluster_block(
+            D, ClusterParams(method="dbscan", eps=1.0, dbscan_min_samples=min_samples)
+        )
+        assert groups(part) == {frozenset("a"), frozenset("b")}
+        assert groups(hac_cluster(D, "single", eps=1.0)) == groups(part)
+
+    def test_vetoed_pair_joins_through_a_third_record(self):
+        vetoed = [[False, True, False], [True, False, False], [False, False, False]]
+        D = matrix([[0, 1, 0.2], [1, 0, 0.2], [0.2, 0.2, 0]], veto=vetoed, members="abc")
+        assert groups(dbscan_cluster(D, eps=1.0, min_samples=1)) == {frozenset("abc")}
+
 
 class TestNamesCompatible:
     @pytest.mark.parametrize(
@@ -460,6 +476,40 @@ class TestClusterCorpus:
         monkeypatch.setattr(cluster, "SCORE_BATCH_PAIRS", 60)
         assert len(cluster._score_groups(build_blocks(ds))) > 2
         assert cluster_corpus(ds, ens, params, counts, jobs=2) == serial
+
+    def test_jobs_start_no_more_workers_than_groups(self, trained, monkeypatch):
+        import multiprocessing
+
+        ds, ens, counts, schema = trained
+        params = ClusterParams(linkage="average", eps=0.5)
+        serial = cluster_corpus(ds, ens, params, counts, jobs=1)
+        monkeypatch.setattr(cluster, "SCORE_BATCH_PAIRS", 60)
+        n_groups = len(cluster._score_groups(build_blocks(ds)))
+        assert 2 < n_groups < 64
+        started = []
+
+        class InProcessPool:
+            """Records its size and runs the groups in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                cluster._WORKER_STATE.clear()
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        class Context:
+            Pool = InProcessPool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *args: Context())
+        assert cluster_corpus(ds, ens, params, counts, jobs=64) == serial
+        assert started == [n_groups]
 
     @pytest.mark.parametrize("batch_pairs", [None, 60])
     def test_one_ensemble_predict_per_group(self, trained, batch_pairs, monkeypatch):
