@@ -75,17 +75,9 @@ def normalize_name(
     )
 
 
-def _key(name: NormalizedName) -> str:
-    return f"{name.first_initial or EMPTY_INITIAL} {name.last}"
-
-
-def block_key_from_parts(first: str | None, last: str) -> str:
-    """Blocking key for a (first, last) name: first initial + space + last."""
-    return _key(normalize_name(first, None, last))
-
-
 def block_key(sig: "Signature") -> str:
-    return _key(sig.name)
+    """Blocking key of a signature: first initial + space + last name."""
+    return f"{sig.name.first_initial or EMPTY_INITIAL} {sig.name.last}"
 
 
 def build_blocks(dataset: "Dataset") -> list[Block]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -36,6 +35,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .pipeline import RunConfig
+from .settings import read_json, write_json
 from .synthetic import GeneratorConfig, generate_synthetic_corpus
 
 EXIT_USAGE = 2
@@ -57,9 +57,7 @@ def _write_json(doc, out_dir: str, name: str) -> str:
     path = os.path.join(out_dir, name)
     with _writing():
         os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(doc, path)
     return path
 
 
@@ -75,15 +73,7 @@ def _write_tsv(rows: list[tuple], header: tuple[str, ...], out_dir: str, name: s
 
 
 def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return read_json(path, ConfigError) if path else {}
 
 
 def _data_paths(data_dir: str) -> dict:
@@ -212,13 +202,13 @@ def cmd_tune(args) -> int:
         dataset = pipeline.split_blocks(dataset, cfg.seed, cfg.fractions)
     schema = pipeline.resolve_schema(cfg)
     counts = _load_counts(args, dataset)
-    train, val = pipeline.sample_train_val(
+    X, y, val, _ = pipeline.sample_train_val(
         dataset, cfg, counts, schema, blocking.build_blocks(dataset)
     )
     budget = args.budget if args.budget is not None else max(cfg.tune_budget, 1)
     hp, score = model.tune_hyperparameters(
-        train.X,
-        train.y,
+        X,
+        y,
         val.X,
         val.y,
         budget,

@@ -17,7 +17,6 @@ Datasets are immutable after load; every transformation returns a new one.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -32,7 +31,7 @@ from .errors import (
     IntegrityError,
     ParseError,
 )
-from .settings import is_int, is_number
+from .settings import is_int, is_number, read_json, write_json
 
 SPLITS = ("train", "val", "test")
 
@@ -137,29 +136,6 @@ class NameCountsTable:
 # ---------------------------------------------------------------------------
 
 
-def _reject_duplicate_keys(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise IntegrityError(f"duplicate id {key!r}")
-        seen[key] = value
-    return seen
-
-
-def _load_json(path: str | os.PathLike, check_duplicates: bool = False):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if check_duplicates:
-                return json.load(fh, object_pairs_hook=_reject_duplicate_keys)
-            return json.load(fh)
-    except IntegrityError:
-        raise
-    except OSError as exc:
-        raise ParseError(str(exc)) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 def _opt_str(value) -> str | None:
     """Absent or empty string means missing."""
     if value is None:
@@ -246,7 +222,7 @@ def _parse_signature(raw: dict) -> Signature:
 
 def load_partition(path: str | os.PathLike) -> Partition:
     """Read a clusters.json file (map cluster_id -> [signature_id])."""
-    raw = _load_json(path, check_duplicates=True)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected an object of clusters")
     assignment: dict[str, str] = {}
@@ -271,18 +247,18 @@ def load_dataset(
 ) -> Dataset:
     """Load and validate a corpus.
 
-    Rejects duplicate ids, dangling references from signatures to papers,
+    Rejects repeated ids, dangling references from signatures to papers,
     inconsistent embedding dimensions, (when gold clusters are given)
     partitions that do not cover every signature, and a splits file that is
     not an object of ``SPLITS`` values. Its keys are checked against the
     blocks where those are built (``pipeline.sample_train_val``).
     """
-    papers_raw = _load_json(papers_file, check_duplicates=True)
+    papers_raw = read_json(papers_file)
     if not isinstance(papers_raw, dict):
         raise ParseError(f"{papers_file}: expected an object of papers")
     papers = {pid: _parse_paper(pid, raw) for pid, raw in papers_raw.items()}
 
-    sigs_raw = _load_json(signatures_file)
+    sigs_raw = read_json(signatures_file)
     if not isinstance(sigs_raw, list):
         raise ParseError(f"{signatures_file}: expected an array of signatures")
     signatures: dict[str, Signature] = {}
@@ -293,7 +269,7 @@ def load_dataset(
         signatures[sig.signature_id] = sig
 
     if embeddings_file is not None:
-        emb_raw = _load_json(embeddings_file)
+        emb_raw = read_json(embeddings_file)
         try:
             dim = emb_raw["dim"]
             vectors = emb_raw["vectors"]
@@ -321,8 +297,8 @@ def load_dataset(
         gold = load_partition(clusters_file)
 
     splits = None
-    if splits_file is not None and os.path.exists(splits_file):
-        splits = _load_json(splits_file)
+    if splits_file is not None:
+        splits = read_json(splits_file)
         if not isinstance(splits, dict) or any(
             v not in SPLITS for v in splits.values()
         ):
@@ -364,8 +340,6 @@ def validate_dataset(dataset: Dataset) -> None:
 def save_dataset(dataset: Dataset, out_dir: str | os.PathLike) -> dict[str, str]:
     """Write a corpus back to its canonical files. Returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    paths: dict[str, str] = {}
-
     papers_doc = {}
     for pid in sorted(dataset.papers):
         p = dataset.papers[pid]
@@ -382,7 +356,6 @@ def save_dataset(dataset: Dataset, out_dir: str | os.PathLike) -> dict[str, str]
             "references": sorted(p.reference_ids),
             "language": p.language,
         }
-    paths["papers"] = _dump_json(papers_doc, out_dir, "papers.json")
 
     sigs_doc = []
     for sid in sorted(dataset.signatures):
@@ -400,26 +373,22 @@ def save_dataset(dataset: Dataset, out_dir: str | os.PathLike) -> dict[str, str]
                 "email": s.email,
             }
         )
-    paths["signatures"] = _dump_json(sigs_doc, out_dir, "signatures.json")
 
+    docs = {"papers": papers_doc, "signatures": sigs_doc}
     if dataset.gold is not None:
-        paths["clusters"] = _dump_json(
-            partition_to_doc(dataset.gold), out_dir, "clusters.json"
-        )
-
+        docs["clusters"] = partition_to_doc(dataset.gold)
     vectors = {
         pid: list(p.embedding)
         for pid, p in sorted(dataset.papers.items())
         if p.embedding is not None
     }
     if vectors:
-        dim = len(next(iter(vectors.values())))
-        paths["embeddings"] = _dump_json(
-            {"dim": dim, "vectors": vectors}, out_dir, "embeddings.json"
-        )
-
+        docs["embeddings"] = {"dim": len(next(iter(vectors.values()))), "vectors": vectors}
     if dataset.splits is not None:
-        paths["splits"] = _dump_json(dataset.splits, out_dir, "splits.json")
+        docs["splits"] = dataset.splits
+    paths = {kind: os.path.join(out_dir, f"{kind}.json") for kind in docs}
+    for kind, doc in docs.items():
+        write_json(doc, paths[kind])
     return paths
 
 
@@ -431,17 +400,7 @@ def partition_to_doc(partition: Partition) -> dict[str, list[str]]:
 
 
 def save_partition(partition: Partition, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(partition_to_doc(partition), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _dump_json(doc, out_dir, name: str) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    write_json(partition_to_doc(partition), path)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +435,7 @@ def build_name_counts(dataset: Dataset) -> NameCountsTable:
 def load_name_counts(path: str | os.PathLike) -> NameCountsTable:
     """Read a name-counts sidecar: an object of the four NameCountsTable
     tables, each an object of non-negative integer counts."""
-    raw = _load_json(path)
+    raw = read_json(path)
     tables = {}
     for name in ("first", "last", "first_last", "first_initial_last"):
         table = raw.get(name) if isinstance(raw, dict) else None
@@ -491,15 +450,7 @@ def load_name_counts(path: str | os.PathLike) -> NameCountsTable:
 
 
 def save_name_counts(table: NameCountsTable, path: str | os.PathLike) -> None:
-    doc = {
-        "first": table.first,
-        "last": table.last,
-        "first_last": table.first_last,
-        "first_initial_last": table.first_initial_last,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(dataclasses.asdict(table), path)
 
 
 # ---------------------------------------------------------------------------

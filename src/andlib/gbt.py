@@ -92,9 +92,9 @@ class HyperParams(Settings):
     NOUN = "hyperparameter"
     DOC = "hyperparams"
 
-    n_trees: int = setting(100, integer(0))
-    max_leaves: int = setting(32, integer(0))
-    max_depth: int = setting(8, integer(0))
+    n_trees: int = setting(100, integer(1))
+    max_leaves: int = setting(32, integer(2))  # one leaf is a constant
+    max_depth: int = setting(8, integer(1))
     learning_rate: float = setting(0.1, number(0))
     min_samples_leaf: int = setting(5, integer(0))
     feature_fraction: float = setting(0.9, _FRACTION)
@@ -103,7 +103,7 @@ class HyperParams(Settings):
     l1_regularization: float = setting(0.0, number(0))
     min_split_gain: float = setting(0.0, number(0))
     min_child_weight: float = setting(1e-3, number(0))
-    max_bins: int = setting(255, integer(0))
+    max_bins: int = setting(255, integer(2))  # 0 and 1 would thin to one cut, as 2 does
 
 
 #: declared search ranges: (kind, low, high); kind in {int, int_log, float, float_log}

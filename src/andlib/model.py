@@ -11,7 +11,6 @@ ablation runs, behind the same prediction interface.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,7 +26,6 @@ from .features import (
     FeatureSpec,
     PaperGrams,
     featurize_pairs,
-    mask_nameless,
 )
 from .gbt import (
     HyperParams,
@@ -38,7 +36,7 @@ from .gbt import (
     sample_hyperparams,
     sigmoid,
 )
-from .settings import is_int, is_number
+from .settings import is_int, is_number, read_json, write_json
 
 MODEL_FORMAT_VERSION = 1
 
@@ -145,15 +143,19 @@ class LinearModel:
     bias: float
     medians: np.ndarray
 
-    def raw_score(self, X: np.ndarray) -> np.ndarray:
+    def raw_score(self, X: np.ndarray, missing: Sequence[int] = ()) -> np.ndarray:
+        """Raw scores of the rows of ``X``, with NaN values and the columns
+        ``missing`` read as their medians."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         filled = np.where(np.isnan(X), self.medians, X)
+        missing = list(missing)
+        filled[:, missing] = self.medians[missing]
         return filled @ self.weights + self.bias
 
-    def predict_proba(self, v: np.ndarray) -> float | np.ndarray:
+    def predict_proba(self, v: np.ndarray, missing: Sequence[int] = ()) -> float | np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         single = v.ndim == 1
-        p = np.clip(sigmoid(self.raw_score(v)), P_EPS, 1.0 - P_EPS)
+        p = np.clip(sigmoid(self.raw_score(v, missing)), P_EPS, 1.0 - P_EPS)
         return float(p[0]) if single else p
 
 
@@ -220,23 +222,18 @@ class EnsembleClassifier:
     schema: FeatureSchema
 
     def predict_from_features(self, X: np.ndarray) -> np.ndarray:
-        """The members' mean probability for each row of ``X``. A tree
-        nameless member reads the nameless columns of ``X`` as missing as it
-        walks its trees, which scores ``mask_nameless(X)`` to the bit without
-        copying ``X``; a linear member scores that masked copy."""
+        """The members' mean probability for each row of ``X``. The nameless
+        member reads the nameless columns of ``X`` as missing, which scores
+        ``mask_nameless(X)`` to the bit without a masked copy of ``X``."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != len(self.schema):
             raise SchemaMismatchError(
                 f"pair vectors have {X.shape[1]} slots, schema has {len(self.schema)}"
             )
         p_full = self.full_model.predict_proba(X)
-        nameless = self.nameless_model
-        if nameless is None:
+        if self.nameless_model is None:
             return p_full
-        if isinstance(nameless, TreeEnsembleModel):
-            p_nameless = nameless.predict_proba(X, self.schema.nameless_indices())
-        else:
-            p_nameless = nameless.predict_proba(mask_nameless(X, self.schema))
+        p_nameless = self.nameless_model.predict_proba(X, self.schema.nameless_indices())
         return (p_full + p_nameless) / 2.0
 
 
@@ -402,9 +399,7 @@ def save_ensemble(
             else None
         ),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(doc, path, indent=1)
 
 
 def _spec_from_doc(entry) -> FeatureSpec:
@@ -444,13 +439,7 @@ def load_ensemble(
     expected_schema: FeatureSchema | None = None,
 ) -> tuple[EnsembleClassifier, dict]:
     """Load a model container, refusing on any schema-hash mismatch."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a model object")
     version = doc.get("format_version")

@@ -170,8 +170,11 @@ def sample_train_val(
     counts: NameCountsTable,
     schema: FeatureSchema,
     blocks: list[blocking.Block],
-) -> tuple[PairSample, PairSample]:
-    """The run's training and validation pairs, from the dataset's blocks."""
+) -> tuple[np.ndarray, np.ndarray, PairSample, dict]:
+    """The run's training rows ``X, y`` and validation pairs, from the
+    dataset's blocks, and a report of their counts. With ``cfg.knockout``
+    the training pairs are followed by the same pairs featurized against a
+    degraded copy of the corpus."""
     unknown = set(dataset.splits) - {b.key for b in blocks}
     if unknown:
         raise IntegrityError(
@@ -186,7 +189,19 @@ def sample_train_val(
     )
     if not len(val):
         raise ConfigError("empty validation pair set")
-    return train, val
+    report = {"train_pairs": len(train), "val_pairs": len(val), "augmented_pairs": 0}
+    X, y = train.X, train.y
+    if cfg.knockout:
+        probs = {g: cfg.knockout_probability for g in KNOCKOUT_GROUPS}
+        degraded = knockout_augment(dataset, cfg.seed + 7, probs)
+        extra = sample_pairs(
+            dataset, "train", cfg.train_cap, cfg.seed, counts, schema,
+            source=degraded, blocks=blocks,
+        )
+        report["augmented_pairs"] = len(extra)
+        X = np.concatenate([X, extra.X])
+        y = np.concatenate([y, extra.y])
+    return X, y, val, report
 
 
 def train_pipeline(
@@ -202,24 +217,7 @@ def train_pipeline(
         counts = build_name_counts(dataset)
 
     blocks = blocking.build_blocks(dataset)
-    train, val = sample_train_val(dataset, cfg, counts, schema, blocks)
-    report: dict = {
-        "train_pairs": len(train),
-        "val_pairs": len(val),
-        "augmented_pairs": 0,
-    }
-    X, y = train.X, train.y
-
-    if cfg.knockout:
-        probs = {g: cfg.knockout_probability for g in KNOCKOUT_GROUPS}
-        degraded = knockout_augment(dataset, cfg.seed + 7, probs)
-        extra = sample_pairs(
-            dataset, "train", cfg.train_cap, cfg.seed, counts, schema,
-            source=degraded, blocks=blocks,
-        )
-        report["augmented_pairs"] = len(extra)
-        X = np.concatenate([X, extra.X])
-        y = np.concatenate([y, extra.y])
+    X, y, val, report = sample_train_val(dataset, cfg, counts, schema, blocks)
 
     hp: HyperParams | None = None
     if cfg.classifier == "gbt":
@@ -296,7 +294,6 @@ def evaluate_partition(
     gold: Partition,
     dataset: Dataset,
     facets: tuple[str, ...] = (),
-    facet_bins: dict[str, tuple[float, ...]] | None = None,
 ) -> dict:
     """Standard metric report: B-cubed, pairwise macro F1, facet tables."""
     gold = gold.restrict(pred.assignment)
@@ -313,8 +310,7 @@ def evaluate_partition(
         "facets": {},
     }
     for facet in facets:
-        bins = (facet_bins or {}).get(facet)
-        fr = metrics.facet_report(pred, gold, dataset, facet, bins=bins, blocks=blocks)
+        fr = metrics.facet_report(pred, gold, dataset, facet, blocks=blocks)
         report["facets"][facet] = [
             {"bin": b.label, "count": b.count, "mean_f1": b.mean_f1} for b in fr.bins
         ]

@@ -1,4 +1,5 @@
-"""What a JSON number is, and the one check every frozen settings class runs.
+"""What a JSON number is, the one reader and writer of JSON files, and the
+one check every frozen settings class runs.
 
 A settings class is a frozen dataclass that derives from ``Settings`` and
 declares each field with ``setting(default, rule)``, where a rule is a
@@ -9,10 +10,12 @@ and names the first value that fails.
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 from dataclasses import MISSING, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 
 def is_int(value) -> bool:
@@ -27,6 +30,36 @@ def is_number(value) -> bool:
     """An int or float a float can hold: not a bool, NaN, +-inf or an
     integer past float range."""
     return (isinstance(value, float) or is_int(value)) and abs(value) <= _FLOAT_MAX
+
+
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object, refused if it repeats a key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
+def read_json(path: str | os.PathLike, error: type[Exception] = ParseError):
+    """The JSON document in the UTF-8 file ``path``. A file that cannot be
+    opened, is not UTF-8 or not JSON, nests past the decoder's limit or
+    repeats a key within one object raises ``error`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def write_json(doc, path: str | os.PathLike, indent: int = 2) -> None:
+    """Write ``doc`` to ``path`` as JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
 
 
 def integer(low: int):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from andlib.blocking import (
     Block,
     block_key,
-    block_key_from_parts,
     build_blocks,
     fold_text,
     normalize_name,
@@ -74,9 +73,6 @@ class TestBlockKey:
         full = block_key(sig("Shivashankar", "Subramanian"))
         initial = block_key(sig("S.", "Subramanian"))
         assert full == initial == "s subramanian"
-
-    def test_parts_helper_matches(self):
-        assert block_key_from_parts("Ann", "Lee") == block_key(sig("Ann", "Lee"))
 
 
 class TestBuildBlocks:

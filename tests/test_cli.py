@@ -16,6 +16,7 @@ from andlib.cli import main
 from andlib.cluster import names_compatible
 from andlib.corpus import NameCountsTable, load_dataset, load_partition, save_name_counts
 from andlib.features import default_schema
+from andlib.gbt import HyperParams
 
 FAST_TRAIN = [
     "--config", "",  # replaced per-test
@@ -372,6 +373,23 @@ class TestTune:
         hp = json.loads((out / "hyperparams.json").read_text())
         assert (hp["n_trees"], hp["max_leaves"]) == (25, 8)
 
+    def test_knockout_tunes_on_the_augmented_rows(
+        self, corpus_dir, fast_config, tmp_path, monkeypatch
+    ):
+        # as train --knockout does: the training pairs, then the same pairs
+        # featurized against the degraded corpus
+        rows = []
+
+        def record(X, *args, **kwargs):
+            rows.append(len(X))
+            return HyperParams(), 0.5
+
+        monkeypatch.setattr(model, "tune_hyperparameters", record)
+        for flags in ([], ["--knockout"]):
+            assert run(["tune", "--data", corpus_dir, "--out", tmp_path / "tune",
+                        "--seed", 2, "--config", fast_config, "--budget", 1, *flags]) == 0
+        assert rows[1] == 2 * rows[0] > 0
+
 
 def run_process(argv, timeout=120, env=None) -> subprocess.CompletedProcess:
     """The CLI as its own process, so an uncaught exception shows as a
@@ -440,6 +458,16 @@ def set_member(key, value):
     return lambda doc: doc["full"].__setitem__(key, value)
 
 
+def repeat_first_key(doc) -> str:
+    """``doc`` as JSON text, with the first key of its first object written
+    twice."""
+    text = json.dumps(doc)
+    first = doc if isinstance(doc, dict) else doc[0]
+    key = next(iter(first))
+    at = text.index("{") + 1
+    return text[:at] + json.dumps({key: first[key]})[1:-1] + ", " + text[at:]
+
+
 def eval_argv(data, tmp_path):
     return ["eval", "--data", data, "--pred", data / "papers.json",
             "--out", tmp_path / "o"]
@@ -476,8 +504,17 @@ class TestTypedErrors:
         ({"jobs": 0}, "'jobs'"),
         ({"train_cap": -5}, "'train_cap'"),
         ([1, 2], "JSON object"),
+        # zero-size trees used to train a constant model and exit 0
+        ({"hyperparams": {"n_trees": 0}}, "'n_trees'"),
+        ({"hyperparams": {"max_depth": 0}}, "'max_depth'"),
+        ({"hyperparams": {"max_leaves": 0}}, "'max_leaves'"),
+        ({"hyperparams": {"max_leaves": 1}}, "'max_leaves'"),
+        ({"hyperparams": {"max_bins": 0}}, "'max_bins'"),
+        ({"hyperparams": {"max_bins": 1}}, "'max_bins'"),
     ], ids=["eps_string", "eps_budget_string", "seed_string", "fractions_number",
-            "fractions_two", "jobs_zero", "train_cap_negative", "top_level_list"])
+            "fractions_two", "jobs_zero", "train_cap_negative", "top_level_list",
+            "n_trees_zero", "max_depth_zero", "max_leaves_zero", "max_leaves_one",
+            "max_bins_zero", "max_bins_one"])
     def test_bad_config_value(self, corpus_dir, tmp_path, doc, message):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
@@ -697,6 +734,12 @@ class TestTypedErrors:
         assert doc["schema"]["features"][1][2] == 0
         self.cluster_with_model(corpus_dir, trained_dir, tmp_path, edit)
 
+    def test_model_with_one_leaf_trees(self, corpus_dir, trained_dir, tmp_path):
+        self.cluster_with_model(
+            corpus_dir, trained_dir, tmp_path,
+            lambda doc: doc["hyperparams"].update({"max_leaves": 1}),
+        )
+
     @pytest.mark.parametrize("key, value", [
         ("linkage", "bogus"),
         ("method", "bogus"),
@@ -802,6 +845,57 @@ class TestTypedErrors:
     def test_ablate_with_bad_seeds(self, corpus_dir, fast_config, tmp_path, seeds):
         self.check(["ablate", "--data", corpus_dir, "--out", tmp_path / "o",
                     "--config", fast_config, "--seeds", seeds], 2, message="--seeds")
+
+    @pytest.mark.parametrize("bad", ["non_utf8", "nested", "repeated_key"])
+    @pytest.mark.parametrize("kind", [
+        "run_config", "generator_config", "papers", "signatures", "embeddings",
+        "splits", "name_counts", "pred", "model",
+    ])
+    def test_unreadable_json_file(self, corpus_dir, trained_dir, tmp_path, kind, bad):
+        # one reader for every file: a config or model file with a non-UTF-8
+        # byte, and any file nested too deep, used to end in a traceback; a
+        # repeated key was refused only in papers.json and clusters.json
+        data, out = tmp_path / "data", tmp_path / "o"
+        run_json, gen_json, pred, counts, model_json = (
+            tmp_path / name
+            for name in ("run.json", "gen.json", "pred.json", "counts.json", "model.json")
+        )
+        write_corpus(data, {"p": {"title": "t",
+                                  "authors": [{"position": 1, "name": "A B"}]}})
+        for path, doc in [
+            (data / "clusters.json", {"c": ["s"]}),
+            (data / "embeddings.json", {"dim": 2, "vectors": {"p": [0.5, 0.5]}}),
+            (data / "splits.json", {"_ b": "train"}),
+            (pred, {"c": ["s"]}),
+            (run_json, {"eps": 0.3}),
+            (gen_json, {"n_authors": 5}),
+        ]:
+            path.write_text(json.dumps(doc))
+        shutil.copy(corpus_dir / "name_counts.json", counts)
+        shutil.copy(trained_dir / "model.json", model_json)
+        evaluate = ["eval", "--data", data, "--out", out, "--pred", pred]
+        cluster = ["cluster", "--data", corpus_dir, "--out", out, "--model"]
+        code, path, argv = {
+            "run_config": (2, run_json, ["train", "--data", corpus_dir, "--out", out,
+                                         "--config", run_json]),
+            "generator_config": (2, gen_json, ["synth", "--out", out, "--config", gen_json]),
+            "papers": (3, data / "papers.json", evaluate),
+            "signatures": (3, data / "signatures.json", evaluate),
+            "embeddings": (3, data / "embeddings.json", evaluate),
+            "splits": (3, data / "splits.json", evaluate),
+            "name_counts": (3, counts, cluster + [trained_dir / "model.json",
+                                                  "--name-counts", counts]),
+            "pred": (3, pred, evaluate),
+            "model": (3, model_json, cluster + [model_json]),
+        }[kind]
+        doc = json.loads(path.read_text())
+        path.write_bytes({
+            "non_utf8": b'{"\xff": 1}',
+            "nested": b"[" * 5000,
+            "repeated_key": repeat_first_key(doc).encode(),
+        }[bad])
+        self.check(argv, code, message=f"{path}: repeated key" if bad == "repeated_key"
+                   else f"{path}: ")
 
 
 class TestNoOpenSSL:
