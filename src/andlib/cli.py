@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
-Subcommands: synth, train, tune, cluster, eval, ablate, facets. Every
-command takes an output directory, writes its resolved configuration there,
+Subcommands: synth, train, tune, cluster, eval, ablate, facets. A flag
+overrides the setting of the same name. Every command takes an output
+directory, writes the settings it ran with there as resolved_config.json,
 and is deterministic given (config, seed). Exit codes: 0 success, 2 usage
 or bad configuration, 3 data integrity, 4 model/schema mismatch.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -95,82 +97,51 @@ def _load_data(args) -> Dataset:
 
 
 def _load_counts(args, dataset: Dataset):
-    sidecar = getattr(args, "name_counts", None) or _maybe(
+    sidecar = args.name_counts or _maybe(
         os.path.join(args.data, "name_counts.json")
     )
     return load_name_counts(sidecar) if sidecar else build_name_counts(dataset)
 
 
+def _flags(args, settings) -> dict:
+    """The values of ``settings`` (a settings class) given on the command
+    line: each flag's dest is the field it overrides, None when not given."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(settings)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _run_config(args) -> RunConfig:
     """Config file first, then command-line flags on top (flags win)."""
-    doc = _load_config_file(getattr(args, "config", None))
-    cfg = RunConfig.from_doc(doc)
-    overrides = {}
-    for key in (
-        "seed",
-        "train_cap",
-        "val_cap",
-        "tune_budget",
-        "eps_budget",
-        "linkage",
-        "method",
-        "eps",
-        "classifier",
-        "jobs",
-        "knockout_probability",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "knockout", False):
-        overrides["knockout"] = True
-    if getattr(args, "no_name_rules", False):
-        overrides["name_rules"] = False
-    if getattr(args, "no_nameless", False):
-        overrides["use_nameless"] = False
-    if getattr(args, "no_monotone", False):
-        overrides["use_monotone"] = False
-    if getattr(args, "drop", None):
-        overrides["drop_features"] = tuple(cfg.drop_features) + tuple(args.drop)
-    return RunConfig.from_doc({**cfg.to_doc(), **overrides})
+    cfg = RunConfig.from_doc(_load_config_file(args.config))
+    overrides = _flags(args, RunConfig)
+    if args.drop:
+        overrides["drop_features"] = cfg.drop_features + tuple(args.drop)
+    return dataclasses.replace(cfg, **overrides)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the settings document it ran with
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     cfg = GeneratorConfig.from_doc(_load_config_file(args.config))
-    overrides = {}
-    for flag, key in (
-        ("authors", "n_authors"),
-        ("mean_papers", "mean_papers"),
-        ("collision_rate", "collision_rate"),
-        ("embedding_noise", "embedding_noise"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = value
-    cfg = GeneratorConfig.from_doc({**cfg.to_doc(), **overrides})
+    cfg = dataclasses.replace(cfg, **_flags(args, GeneratorConfig))
     dataset = generate_synthetic_corpus(args.seed, cfg)
     with _writing():
         save_dataset(dataset, args.out)
         save_name_counts(
             build_name_counts(dataset), os.path.join(args.out, "name_counts.json")
         )
-    _write_json(
-        {"seed": args.seed, "generator": cfg.to_doc()}, args.out, "resolved_config.json"
-    )
     print(
         f"wrote corpus: {len(dataset.papers)} papers, "
         f"{len(dataset.signatures)} signatures, "
         f"{len(dataset.gold.clusters())} clusters -> {args.out}"
     )
-    return 0
+    return {"seed": args.seed, "generator": cfg.to_doc()}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     cfg = _run_config(args)
     dataset = _load_data(args)
     result = pipeline.train_pipeline(dataset, cfg, counts=_load_counts(args, dataset))
@@ -188,14 +159,13 @@ def cmd_train(args) -> int:
         )
     _write_json(result.dataset.splits, args.out, "splits.json")
     _write_json(result.report, args.out, "report.json")
-    _write_json(cfg.to_doc(), args.out, "resolved_config.json")
     for key in sorted(result.report):
         print(f"{key}: {result.report[key]}")
     print(f"model -> {model_path}")
-    return 0
+    return cfg.to_doc()
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> dict:
     cfg = _run_config(args)
     dataset = _load_data(args)
     if dataset.splits is None:
@@ -218,43 +188,28 @@ def cmd_tune(args) -> int:
         overrides=cfg.hyperparams or None,
     )
     _write_json(hp.to_doc(), args.out, "hyperparams.json")
-    _write_json(cfg.to_doc(), args.out, "resolved_config.json")
     print(f"best validation AUROC {score:.4f}")
     for key, value in sorted(hp.to_doc().items()):
         print(f"{key}: {value}")
-    return 0
+    return {**cfg.to_doc(), "tune_budget": budget}
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> dict:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     dataset = _load_data(args)
     counts = _load_counts(args, dataset)
     ens, meta = model.load_ensemble(args.model)
-    flags = {key: getattr(args, key, None) for key in STORED_CLUSTER_PARAMS}
-    params = ClusterParams.from_doc({
-        **(meta.get("cluster_params") or {}),
-        **{key: value for key, value in flags.items() if value is not None},
-        "name_rules": not args.no_name_rules,
-    })
+    params = ClusterParams.from_doc(
+        {**(meta.get("cluster_params") or {}), **_flags(args, ClusterParams)}
+    )
     pred = cluster.cluster_corpus(dataset, ens, params, counts, jobs=args.jobs)
     out_path = os.path.join(args.out, "clusters.json")
     with _writing():
         os.makedirs(args.out, exist_ok=True)
         save_partition(pred, out_path)
-    _write_json(
-        {
-            "model": args.model,
-            "linkage": params.linkage,
-            "eps": params.eps,
-            "method": params.method,
-            "name_rules": params.name_rules,
-        },
-        args.out,
-        "resolved_config.json",
-    )
     print(f"{len(pred.clusters())} clusters over {len(pred)} signatures -> {out_path}")
-    return 0
+    return {"model": args.model, **params.to_doc()}
 
 
 def _parse_facets(arg: str | None) -> tuple[str, ...]:
@@ -269,7 +224,7 @@ def _parse_facets(arg: str | None) -> tuple[str, ...]:
     return facets
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     dataset = _load_data(args)
     pred = load_partition(args.pred)
     gold_path = args.gold or os.path.join(args.data, "clusters.json")
@@ -277,11 +232,6 @@ def cmd_eval(args) -> int:
     facets = _parse_facets(args.facets)
     report = pipeline.evaluate_partition(pred, gold, dataset, facets=facets)
     _write_json(report, args.out, "metrics.json")
-    _write_json(
-        {"pred": args.pred, "gold": gold_path, "facets": list(facets)},
-        args.out,
-        "resolved_config.json",
-    )
     print(f"records: {report['records']}")
     print(f"b3_precision: {report['b3_precision']:.4f}")
     print(f"b3_recall: {report['b3_recall']:.4f}")
@@ -297,10 +247,10 @@ def cmd_eval(args) -> int:
         for row in rows:
             print("\t".join(str(v) for v in row))
         print(f"facet table -> {path}")
-    return 0
+    return {"pred": args.pred, "gold": gold_path, "facets": list(facets)}
 
 
-def cmd_facets(args) -> int:
+def cmd_facets(args) -> dict:
     if not args.facets:
         raise ConfigError("facets command requires --facets")
     return cmd_eval(args)
@@ -314,26 +264,22 @@ def _seeds(text: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args) -> dict:
     cfg = _run_config(args)
     seeds = _seeds(args.seeds) if args.seeds else (cfg.seed,)
-    dataset = _load_data(args)
     axes = tuple(a.strip() for a in (args.axes or "").split(",") if a.strip())
-    rows = pipeline.run_ablation(dataset, cfg, axes, seeds, _load_counts(args, dataset))
+    configs = pipeline.ablation_configs(cfg, axes)
+    dataset = _load_data(args)
+    rows = pipeline.run_ablation(dataset, configs, seeds, _load_counts(args, dataset))
     tsv_rows = [
         (r["axis"], f"{r['mean_b3_f1']:.6f}", f"{r['delta']:.6f}") for r in rows
     ]
     _write_tsv(tsv_rows, ("axis", "mean_b3_f1", "delta"), args.out, "ablation.tsv")
     _write_json(rows, args.out, "ablation.json")
-    _write_json(
-        {**cfg.to_doc(), "axes": list(axes), "seeds": list(seeds)},
-        args.out,
-        "resolved_config.json",
-    )
     print("axis\tmean_b3_f1\tdelta")
     for row in tsv_rows:
         print("\t".join(row))
-    return 0
+    return {**cfg.to_doc(), "axes": list(axes), "seeds": list(seeds)}
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +288,8 @@ def cmd_ablate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand. A flag that overrides a setting has
+    the setting's name as its dest and None as its default."""
     parser = argparse.ArgumentParser(
         prog="andlib",
         description="Author name disambiguation: train, cluster, evaluate.",
@@ -354,34 +302,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="generator config JSON")
-    p.add_argument("--authors", type=int)
+    p.add_argument("--authors", dest="n_authors", metavar="AUTHORS", type=int)
     p.add_argument("--mean-papers", type=float)
     p.add_argument("--collision-rate", type=float)
     p.add_argument("--embedding-noise", type=float)
     p.set_defaults(func=cmd_synth)
 
-    def add_run_flags(p, with_training=True):
+    def add_cluster_flags(p):
         p.add_argument("--data", required=True, help="corpus directory")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", help="run config JSON")
-        p.add_argument("--seed", type=int)
         p.add_argument("--name-counts")
         p.add_argument("--jobs", type=int, default=default_jobs)
-        if with_training:
-            p.add_argument("--train-cap", type=int)
-            p.add_argument("--val-cap", type=int)
-            p.add_argument("--tune-budget", type=int)
-            p.add_argument("--eps-budget", type=int)
-            p.add_argument("--linkage", choices=cluster.LINKAGES)
-            p.add_argument("--method", choices=cluster.METHODS)
-            p.add_argument("--eps", type=float)
-            p.add_argument("--classifier", choices=("gbt", "linear"))
-            p.add_argument("--knockout", action="store_true")
-            p.add_argument("--knockout-probability", type=float)
-            p.add_argument("--drop", action="append", metavar="FEATURE_OR_GROUP")
-            p.add_argument("--no-name-rules", action="store_true")
-            p.add_argument("--no-nameless", action="store_true")
-            p.add_argument("--no-monotone", action="store_true")
+        p.add_argument("--linkage", choices=cluster.LINKAGES)
+        p.add_argument("--method", choices=cluster.METHODS)
+        p.add_argument("--eps", type=float)
+        p.add_argument("--no-name-rules", dest="name_rules", action="store_false", default=None)
+
+    def add_run_flags(p):
+        add_cluster_flags(p)
+        p.add_argument("--config", help="run config JSON")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--train-cap", type=int)
+        p.add_argument("--val-cap", type=int)
+        p.add_argument("--tune-budget", type=int)
+        p.add_argument("--eps-budget", type=int)
+        p.add_argument("--classifier", choices=("gbt", "linear"))
+        p.add_argument("--knockout", action="store_true", default=None)
+        p.add_argument("--knockout-probability", type=float)
+        p.add_argument("--drop", action="append", metavar="FEATURE_OR_GROUP")
+        p.add_argument("--no-nameless", dest="use_nameless", action="store_false", default=None)
+        p.add_argument("--no-monotone", dest="use_monotone", action="store_false", default=None)
 
     p = sub.add_parser("train", help="train the pairwise ensemble and tune eps")
     add_run_flags(p)
@@ -393,32 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("cluster", help="cluster a corpus with a trained model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    add_cluster_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--name-counts")
-    p.add_argument("--linkage", choices=cluster.LINKAGES)
-    p.add_argument("--method", choices=cluster.METHODS)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--no-name-rules", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("eval", help="score a predicted partition")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold")
-    p.add_argument("--facets")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("facets", help="facet-sliced report for a prediction")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold")
-    p.add_argument("--facets", required=True)
-    p.set_defaults(func=cmd_facets)
+    for name, func, text in (
+        ("eval", cmd_eval, "score a predicted partition"),
+        ("facets", cmd_facets, "facet-sliced report for a prediction"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--pred", required=True)
+        p.add_argument("--gold")
+        p.add_argument("--facets", required=name == "facets")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("ablate", help="run ablation axes against a baseline")
     add_run_flags(p)
@@ -430,10 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write the settings it ran with to
+    ``resolved_config.json`` in its output directory."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_json(args.func(args), args.out, "resolved_config.json")
+        return 0
     except (ParseError, IntegrityError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

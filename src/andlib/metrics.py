@@ -11,6 +11,7 @@ with stable tie order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -153,21 +154,13 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
 def _flagged_share(block: Block, gold: Partition, dataset: Dataset, same_name: bool) -> float:
     """Fraction of block records with another record in a different gold
     cluster under the same full name (``same_name``), or in the same gold
-    cluster under a different full name."""
-    names = [dataset.signatures[m].name.full for m in block.members]
-    clusters = [gold.assignment[m] for m in block.members]
-    n = len(block.members)
-    flagged = 0
-    for i in range(n):
-        for j in range(n):
-            if (
-                i != j
-                and (names[i] == names[j]) == same_name
-                and (clusters[i] == clusters[j]) != same_name
-            ):
-                flagged += 1
-                break
-    return flagged / n if n else 0.0
+    cluster under a different full name: those whose name (or gold
+    cluster) is held by more records than their (name, cluster) pair."""
+    pairs = [(dataset.signatures[m].name.full, gold.assignment[m]) for m in block.members]
+    side = Counter(name if same_name else cl for name, cl in pairs)
+    both = Counter(pairs)
+    flagged = sum(side[name if same_name else cl] > both[name, cl] for name, cl in pairs)
+    return flagged / len(pairs) if pairs else 0.0
 
 
 def homonymity(block: Block, gold: Partition, dataset: Dataset) -> float:

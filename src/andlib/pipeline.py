@@ -356,32 +356,44 @@ def ablation_axis_config(cfg: RunConfig, axis: str) -> RunConfig:
     if axis == "no-monotone":
         return dataclasses.replace(cfg, use_monotone=False)
     if axis.startswith("train-size:"):
-        cap = int(axis.split(":", 1)[1])
-        return dataclasses.replace(cfg, train_cap=cap)
+        cap = axis.split(":", 1)[1]
+        if not cap.isdecimal():
+            raise ConfigError(f"ablation axis {axis!r}: the training size must be an integer")
+        return dataclasses.replace(cfg, train_cap=int(cap))
     raise ConfigError(f"unknown ablation axis {axis!r}")
+
+
+def ablation_configs(cfg: RunConfig, axes: tuple[str, ...]) -> list[tuple[str, RunConfig]]:
+    """The baseline, then each other axis, with its run configuration. Every
+    axis is translated and its feature schema resolved here, so an unknown
+    axis or feature fails before any training."""
+    configs = [
+        (axis, ablation_axis_config(cfg, axis))
+        for axis in ("baseline",) + tuple(a for a in axes if a != "baseline")
+    ]
+    for _, axis_cfg in configs:
+        resolve_schema(axis_cfg)
+    return configs
 
 
 def run_ablation(
     dataset: Dataset,
-    cfg: RunConfig,
-    axes: tuple[str, ...],
+    configs: list[tuple[str, RunConfig]],
     seeds: tuple[int, ...] = (0,),
     counts: NameCountsTable | None = None,
 ) -> list[dict]:
-    """Baseline plus one row per axis: mean test B-cubed F1 over seeds and
-    the delta from baseline (positive delta = the variant is worse)."""
+    """One row per axis of ``ablation_configs``: mean test B-cubed F1 over
+    seeds and the delta from baseline (positive delta = the variant is
+    worse)."""
     rows: list[dict] = []
-    baseline_mean = None
-    for axis in ("baseline",) + tuple(a for a in axes if a != "baseline"):
-        axis_cfg = ablation_axis_config(cfg, axis)
+    for axis, axis_cfg in configs:
         scores = []
         for seed in seeds:
             run_cfg = dataclasses.replace(axis_cfg, seed=seed)
             report = train_cluster_eval(dataset, run_cfg, counts=counts)
             scores.append(report["b3_f1"])
         mean = float(np.mean(scores))
-        if axis == "baseline":
-            baseline_mean = mean
+        baseline_mean = rows[0]["mean_b3_f1"] if rows else mean
         rows.append(
             {
                 "axis": axis,

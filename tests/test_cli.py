@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,13 +11,15 @@ import sys
 import pytest
 
 import andlib
-from andlib import model, pipeline
+from andlib import cli, model, pipeline
 from andlib.blocking import build_blocks
-from andlib.cli import main
-from andlib.cluster import names_compatible
+from andlib.cli import build_parser, main
+from andlib.cluster import ClusterParams, names_compatible
 from andlib.corpus import NameCountsTable, load_dataset, load_partition, save_name_counts
 from andlib.features import default_schema
 from andlib.gbt import HyperParams
+from andlib.pipeline import RunConfig
+from andlib.synthetic import GeneratorConfig
 
 FAST_TRAIN = [
     "--config", "",  # replaced per-test
@@ -244,6 +247,23 @@ class TestAblate:
                     "--config", fast_config, "--axes", "warp-drive"])
         assert code == 2
 
+    @pytest.mark.parametrize("axis", ["train-size:abc", "bogus", "drop:nosuch"])
+    def test_bad_axis_fails_before_loading_or_training(
+        self, corpus_dir, fast_config, tmp_path, monkeypatch, capsys, axis
+    ):
+        # train-size:abc used to end in a ValueError traceback, and every
+        # bad axis failed only after the baseline had trained
+        calls = []
+        monkeypatch.setattr(pipeline, "train_pipeline", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: calls.append(a))
+        code = run(["ablate", "--data", corpus_dir, "--out", tmp_path / "z",
+                    "--config", fast_config, "--axes", f"baseline,{axis}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert calls == []
+        assert not (tmp_path / "z").exists()
+
 
 class TestErrorCodes:
     def test_missing_data_integrity(self, tmp_path):
@@ -389,6 +409,128 @@ class TestTune:
             assert run(["tune", "--data", corpus_dir, "--out", tmp_path / "tune",
                         "--seed", 2, "--config", fast_config, "--budget", 1, *flags]) == 0
         assert rows[1] == 2 * rows[0] > 0
+
+    def test_resolved_config_records_the_budget(
+        self, corpus_dir, fast_config, tmp_path, monkeypatch
+    ):
+        # the budget used to be recorded as the config's tune_budget (0), so
+        # a rerun from resolved_config.json ran 1 trial
+        budgets = []
+
+        def record(X, y, X_val, y_val, budget, *args, **kwargs):
+            budgets.append(budget)
+            return HyperParams(), 0.5
+
+        monkeypatch.setattr(model, "tune_hyperparameters", record)
+        first = tmp_path / "first"
+        assert run(["tune", "--data", corpus_dir, "--out", first, "--seed", 2,
+                    "--config", fast_config, "--budget", 2]) == 0
+        resolved = first / "resolved_config.json"
+        assert json.loads(resolved.read_text())["tune_budget"] == 2
+        assert run(["tune", "--data", corpus_dir, "--out", tmp_path / "rerun",
+                    "--config", resolved]) == 0
+        assert budgets == [2, 2]
+        assert (tmp_path / "rerun" / "resolved_config.json").read_bytes() == (
+            resolved.read_bytes()
+        )
+
+
+def setting_names(settings) -> set[str]:
+    return {f.name for f in dataclasses.fields(settings)}
+
+
+class TestFlagsAreSettings:
+    """A flag that overrides a setting has the setting's name as its dest,
+    and every such flag given on the command line is in the command's
+    resolved_config.json."""
+
+    NOT_SETTINGS = {
+        "data", "out", "config", "model", "name_counts", "drop", "budget",
+        "axes", "seeds", "pred", "gold", "facets", "func", "command",
+    }
+    SETTINGS = {
+        # synth records its seed next to the generator settings
+        "synth": {"seed"} | setting_names(GeneratorConfig),
+        "train": setting_names(RunConfig),
+        "tune": setting_names(RunConfig),
+        "ablate": setting_names(RunConfig),
+        "cluster": setting_names(ClusterParams),
+    }
+    REQUIRED = {
+        "synth": ["--out", "o"],
+        "cluster": ["--data", "d", "--out", "o", "--model", "m"],
+    }
+    RUN_FLAGS = [
+        "--seed", 3, "--train-cap", 5000, "--val-cap", 400, "--tune-budget", 2,
+        "--eps-budget", 3, "--linkage", "single", "--method", "dbscan",
+        "--eps", 0.35, "--classifier", "linear", "--knockout",
+        "--knockout-probability", 0.1, "--no-name-rules", "--no-nameless",
+        "--no-monotone", "--jobs", 2, "--drop", "title",
+    ]
+
+    def parse(self, argv) -> dict:
+        return vars(build_parser().parse_args([str(a) for a in argv]))
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_every_dest_is_a_setting_or_named(self, command):
+        argv = self.REQUIRED.get(command, ["--data", "d", "--out", "o"])
+        dests = set(self.parse([command, *argv]))
+        # cluster --jobs sets worker processes, which the clusters do not depend on
+        named = self.NOT_SETTINGS | ({"jobs"} if command == "cluster" else set())
+        assert dests - named <= self.SETTINGS[command]
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_every_setting_flag_is_resolved(
+        self, command, corpus_dir, fast_config, trained_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            model, "tune_hyperparameters", lambda *a, **k: (HyperParams(), 0.5)
+        )
+        monkeypatch.setattr(
+            pipeline, "train_cluster_eval", lambda *a, **k: {"b3_f1": 1.0}
+        )
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", out, "--seed", 4, "--authors", 12,
+                    "--mean-papers", 3, "--collision-rate", 0.2, "--embedding-noise", 0.5]
+        elif command == "cluster":
+            argv = ["cluster", "--data", corpus_dir, "--out", out,
+                    "--model", trained_dir / "model.json", "--linkage", "single",
+                    "--method", "dbscan", "--eps", 0.3, "--no-name-rules"]
+        else:
+            argv = [command, "--data", corpus_dir, "--out", out,
+                    "--config", fast_config, *self.RUN_FLAGS]
+        assert run(argv) == 0
+        parsed = self.parse(argv)
+        flags = {key: parsed[key] for key in self.SETTINGS[command] if key in parsed}
+        assert None not in flags.values(), "give every settings flag"
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        resolved.update(resolved.pop("generator", {}))
+        assert {key: resolved[key] for key in flags} == flags
+        if command in ("train", "tune", "ablate"):
+            assert resolved["drop_features"] == ["title"]
+
+    def test_absent_flags_keep_the_config(self, corpus_dir, tmp_path, monkeypatch):
+        # a flag not given overrides nothing, booleans included; --jobs always
+        # has a value (ANDLIB_JOBS or 1), so the config's jobs is left out
+        doc = {
+            "seed": 3, "fractions": [0.6, 0.2, 0.2], "train_cap": 5000, "val_cap": 400,
+            "tune_budget": 2, "eps_budget": 3, "linkage": "single", "method": "dbscan",
+            "dbscan_min_samples": 3, "eps": 0.35, "hyperparams": {"n_trees": 5},
+            "knockout": True, "knockout_probability": 0.1, "drop_features": ["title"],
+            "use_nameless": False, "use_monotone": False, "classifier": "linear",
+            "linear_regularization": 0.01, "name_rules": False,
+        }
+        assert set(doc) == setting_names(RunConfig) - {"jobs"}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        monkeypatch.setattr(
+            pipeline, "train_cluster_eval", lambda *a, **k: {"b3_f1": 1.0}
+        )
+        out = tmp_path / "out"
+        assert run(["ablate", "--data", corpus_dir, "--out", out, "--config", cfg]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert {key: resolved[key] for key in doc} == doc
 
 
 def run_process(argv, timeout=120, env=None) -> subprocess.CompletedProcess:

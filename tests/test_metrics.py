@@ -281,6 +281,33 @@ class TestHomonymitySynonymity:
         block, gold, ds = name_block(("Ann", "Li", "1"), ("Ann", "Li", "1"))
         assert synonymity(block, gold, ds) == 0.0
 
+    @given(st.lists(
+        st.tuples(st.sampled_from(["Ann", "Bea", "Cho"]), st.sampled_from("123")),
+        min_size=1, max_size=12,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_random_block_matches_pair_scan(self, records):
+        # the counting rule against the pair scan of the six-record test
+        block, gold, ds = name_block(*((first, "Li", c) for first, c in records))
+        names = [first for first, _ in records]
+        clusters = [c for _, c in records]
+        n = len(records)
+
+        def scan(same_name):
+            return sum(
+                1
+                for i in range(n)
+                if any(
+                    (names[i] == names[j]) == same_name
+                    and (clusters[i] == clusters[j]) != same_name
+                    for j in range(n)
+                    if j != i
+                )
+            ) / n
+
+        assert homonymity(block, gold, ds) == scan(True)
+        assert synonymity(block, gold, ds) == scan(False)
+
 
 @pytest.fixture(scope="module")
 def facet_setup(small_corpus):
