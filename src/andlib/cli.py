@@ -144,7 +144,7 @@ def cmd_synth(args) -> dict:
 def cmd_train(args) -> dict:
     cfg = _run_config(args)
     dataset = _load_data(args)
-    result = pipeline.train_pipeline(dataset, cfg, counts=_load_counts(args, dataset))
+    result = pipeline.train_pipeline(dataset, cfg, _load_counts(args, dataset), args.jobs)
     model_path = os.path.join(args.out, "model.json")
     with _writing():
         os.makedirs(args.out, exist_ok=True)
@@ -175,18 +175,8 @@ def cmd_tune(args) -> dict:
     X, y, val, _ = pipeline.sample_train_val(
         dataset, cfg, counts, schema, blocking.build_blocks(dataset)
     )
-    budget = args.budget if args.budget is not None else max(cfg.tune_budget, 1)
-    hp, score = model.tune_hyperparameters(
-        X,
-        y,
-        val.X,
-        val.y,
-        budget,
-        cfg.seed,
-        pipeline.gbt_constraints(cfg, schema),
-        schema,
-        overrides=cfg.hyperparams or None,
-    )
+    budget = max(cfg.tune_budget, 1)
+    hp, score = pipeline.tune_hyperparams(X, y, val, cfg, schema, budget)
     _write_json(hp.to_doc(), args.out, "hyperparams.json")
     print(f"best validation AUROC {score:.4f}")
     for key, value in sorted(hp.to_doc().items()):
@@ -195,8 +185,6 @@ def cmd_tune(args) -> dict:
 
 
 def cmd_cluster(args) -> dict:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     dataset = _load_data(args)
     counts = _load_counts(args, dataset)
     ens, meta = model.load_ensemble(args.model)
@@ -270,7 +258,9 @@ def cmd_ablate(args) -> dict:
     axes = tuple(a.strip() for a in (args.axes or "").split(",") if a.strip())
     configs = pipeline.ablation_configs(cfg, axes)
     dataset = _load_data(args)
-    rows = pipeline.run_ablation(dataset, configs, seeds, _load_counts(args, dataset))
+    rows = pipeline.run_ablation(
+        dataset, configs, seeds, _load_counts(args, dataset), args.jobs
+    )
     tsv_rows = [
         (r["axis"], f"{r['mean_b3_f1']:.6f}", f"{r['delta']:.6f}") for r in rows
     ]
@@ -295,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Author name disambiguation: train, cluster, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # argparse runs a string default through type=int: a bad value exits 2
-    default_jobs = os.environ.get("ANDLIB_JOBS", "1")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
@@ -312,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="corpus directory")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--name-counts")
-        p.add_argument("--jobs", type=int, default=default_jobs)
         p.add_argument("--linkage", choices=cluster.LINKAGES)
         p.add_argument("--method", choices=cluster.METHODS)
         p.add_argument("--eps", type=float)
@@ -339,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="random search over hyperparameters")
     add_run_flags(p)
-    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("cluster", help="cluster a corpus with a trained model")
@@ -365,6 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="comma-separated seeds")
     p.set_defaults(func=cmd_ablate)
 
+    # worker processes, not a setting: no result depends on them. argparse
+    # runs a string default through type=int, so a bad ANDLIB_JOBS exits 2
+    default_jobs = os.environ.get("ANDLIB_JOBS", "1")
+    for name in ("train", "cluster", "ablate"):
+        sub.choices[name].add_argument("--jobs", type=int, default=default_jobs)
     return parser
 
 
@@ -373,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     ``resolved_config.json`` in its output directory."""
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
         _write_json(args.func(args), args.out, "resolved_config.json")
         return 0
     except (ParseError, IntegrityError, DimensionError) as exc:

@@ -34,7 +34,6 @@ from .model import EnsembleClassifier, PairSample, sample_pairs
 from .settings import (
     FLAG,
     UNIT,
-    Settings,
     integer,
     is_number,
     number,
@@ -59,12 +58,15 @@ def _hyperparams(value) -> bool:
 
 
 @dataclass(frozen=True)
-class RunConfig(Settings):
-    """Resolved settings for one training/clustering run."""
+class RunConfig(ClusterParams):
+    """Resolved settings for one training/clustering run: the clustering
+    settings of ``ClusterParams``, with an ``eps`` of None to tune it on the
+    validation blocks, and the training settings."""
 
     NOUN = "config key"
     DOC = "a run config"
 
+    eps: float | None = setting(None, optional(UNIT))
     seed: int = setting(0, integer(0))
     fractions: tuple[float, float, float] = setting(
         (0.8, 0.1, 0.1), (_fractions, "three numbers in [0, 1] that sum to 1")
@@ -73,10 +75,6 @@ class RunConfig(Settings):
     val_cap: int = setting(10_000, integer(1))
     tune_budget: int = setting(0, integer(0))  # 0 = use default/overridden hyperparameters
     eps_budget: int = setting(24, integer(1))
-    linkage: str = setting("average", one_of(*cluster.LINKAGES))
-    method: str = setting("hac", one_of(*cluster.METHODS))
-    dbscan_min_samples: int = setting(2, integer(1))
-    eps: float | None = setting(None, optional(UNIT))  # None = tune on validation blocks
     hyperparams: dict = setting(
         rule=(_hyperparams, "an object of hyperparameters"), default_factory=dict
     )
@@ -90,8 +88,6 @@ class RunConfig(Settings):
     use_monotone: bool = setting(True, FLAG)
     classifier: str = setting("gbt", one_of("gbt", "linear"))
     linear_regularization: float = setting(1e-3, number(0))
-    name_rules: bool = setting(True, FLAG)
-    jobs: int = setting(1, integer(1))
 
 
 def resolve_schema(cfg: RunConfig) -> FeatureSchema:
@@ -114,6 +110,18 @@ def gbt_constraints(cfg: RunConfig, schema: FeatureSchema) -> tuple[int, ...]:
     if cfg.use_monotone:
         return schema.monotone_constraints()
     return (0,) * len(schema)
+
+
+def tune_hyperparams(
+    X: np.ndarray, y: np.ndarray, val: PairSample, cfg: RunConfig, schema: FeatureSchema,
+    budget: int,
+) -> tuple[HyperParams, float]:
+    """The best of ``budget`` GBT hyperparameter trials by AUROC on ``val``,
+    and that AUROC; the config's ``hyperparams`` are held fixed."""
+    return model.tune_hyperparameters(
+        X, y, val.X, val.y, budget, cfg.seed, gbt_constraints(cfg, schema), schema,
+        overrides=cfg.hyperparams or None,
+    )
 
 
 @dataclass
@@ -146,16 +154,17 @@ def _train_members(
     cfg: RunConfig,
     hp: HyperParams | None,
     schema: FeatureSchema,
+    jobs: int = 1,
 ):
     """The full member and the nameless one (None when it is off). With
-    ``cfg.jobs`` >= 2 one worker process fits the nameless member while this
+    ``jobs`` >= 2 one worker process fits the nameless member while this
     process fits the full one; each fit is deterministic, so the members
     are the same either way."""
     full = (X, y, cfg, hp, schema, False)
     if not cfg.use_nameless:
         return _train_member(*full), None
     nameless = (mask_nameless(X, schema), y, cfg, hp, schema, True)
-    if cfg.jobs < 2:
+    if jobs < 2:
         return _train_member(*full), _train_member(*nameless)
     import multiprocessing
 
@@ -205,9 +214,10 @@ def sample_train_val(
 
 
 def train_pipeline(
-    dataset: Dataset, cfg: RunConfig, counts: NameCountsTable | None = None
+    dataset: Dataset, cfg: RunConfig, counts: NameCountsTable | None = None, jobs: int = 1
 ) -> TrainResult:
-    """Sample pairs, train the ensemble, and tune the clustering threshold."""
+    """Sample pairs, train the ensemble (``jobs`` as in ``_train_members``),
+    and tune the clustering threshold."""
     if dataset.gold is None:
         raise ConfigError("training requires a corpus with gold clusters")
     if dataset.splits is None:
@@ -222,22 +232,13 @@ def train_pipeline(
     hp: HyperParams | None = None
     if cfg.classifier == "gbt":
         if cfg.tune_budget > 0:
-            hp, tuned_auroc = model.tune_hyperparameters(
-                X,
-                y,
-                val.X,
-                val.y,
-                cfg.tune_budget,
-                cfg.seed,
-                gbt_constraints(cfg, schema),
-                schema,
-                overrides=cfg.hyperparams or None,
+            hp, report["tuned_val_auroc"] = tune_hyperparams(
+                X, y, val, cfg, schema, cfg.tune_budget
             )
-            report["tuned_val_auroc"] = tuned_auroc
         else:
-            hp = HyperParams.from_doc(cfg.hyperparams) if cfg.hyperparams else HyperParams()
+            hp = HyperParams.from_doc(cfg.hyperparams)
 
-    full, nameless = _train_members(X, y, cfg, hp, schema)
+    full, nameless = _train_members(X, y, cfg, hp, schema, jobs)
     ens = EnsembleClassifier(full_model=full, nameless_model=nameless, schema=schema)
 
     yv_int = val.y.astype(int)
@@ -247,25 +248,20 @@ def train_pipeline(
             ens.predict_from_features(val.X), yv_int
         )
 
-    params = ClusterParams(
-        linkage=cfg.linkage,
-        method=cfg.method,
-        dbscan_min_samples=cfg.dbscan_min_samples,
-        name_rules=cfg.name_rules,
-    )
     if cfg.eps is not None:
         eps = cfg.eps
     else:
         val_blocks = [b for b in blocks if dataset.splits.get(b.key) == "val"]
         eps, report["val_b3_f1"] = cluster.tune_eps(
-            val_blocks, ens, dataset, counts, dataset.gold, params, cfg.eps_budget, cfg.seed
+            val_blocks, ens, dataset, counts, dataset.gold, cfg, cfg.eps_budget, cfg.seed
         )
     report["eps"] = eps
+    settings = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ClusterParams)}
     return TrainResult(
         classifier=ens,
         counts=counts,
         hyperparams=hp,
-        cluster_params=dataclasses.replace(params, eps=eps),
+        cluster_params=ClusterParams(**{**settings, "eps": eps}),
         dataset=dataset,
         report=report,
     )
@@ -322,10 +318,11 @@ def train_cluster_eval(
     cfg: RunConfig,
     split: str = "test",
     counts: NameCountsTable | None = None,
+    jobs: int = 1,
 ) -> dict:
     """One full run; returns the evaluation report on the requested split."""
-    result = train_pipeline(dataset, cfg, counts=counts)
-    pred = cluster_split(result, split, jobs=cfg.jobs)
+    result = train_pipeline(dataset, cfg, counts=counts, jobs=jobs)
+    pred = cluster_split(result, split, jobs=jobs)
     report = evaluate_partition(pred, result.dataset.gold, result.dataset)
     report.update({f"train_{k}": v for k, v in result.report.items()})
     return report
@@ -381,6 +378,7 @@ def run_ablation(
     configs: list[tuple[str, RunConfig]],
     seeds: tuple[int, ...] = (0,),
     counts: NameCountsTable | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """One row per axis of ``ablation_configs``: mean test B-cubed F1 over
     seeds and the delta from baseline (positive delta = the variant is
@@ -390,7 +388,7 @@ def run_ablation(
         scores = []
         for seed in seeds:
             run_cfg = dataclasses.replace(axis_cfg, seed=seed)
-            report = train_cluster_eval(dataset, run_cfg, counts=counts)
+            report = train_cluster_eval(dataset, run_cfg, counts=counts, jobs=jobs)
             scores.append(report["b3_f1"])
         mean = float(np.mean(scores))
         baseline_mean = rows[0]["mean_b3_f1"] if rows else mean

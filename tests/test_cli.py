@@ -362,7 +362,7 @@ class TestNameCounts:
     ):
         seen = []
 
-        def fake_run(dataset, cfg, split="test", counts=None):
+        def fake_run(dataset, cfg, split="test", counts=None, jobs=1):
             seen.append(counts)
             return {"b3_f1": 1.0}
 
@@ -387,7 +387,7 @@ class TestTune:
         monkeypatch.setattr(model, "tune_hyperparameters", spy)
         out = tmp_path / "tune"
         assert run(["tune", "--data", corpus_dir, "--out", out, "--seed", 2,
-                    "--config", fast_config, "--budget", 1, "--no-monotone"]) == 0
+                    "--config", fast_config, "--tune-budget", 1, "--no-monotone"]) == 0
         assert set(seen["constraints"]) == {0}
         assert seen["overrides"] == {"n_trees": 25, "max_leaves": 8}
         hp = json.loads((out / "hyperparams.json").read_text())
@@ -407,14 +407,15 @@ class TestTune:
         monkeypatch.setattr(model, "tune_hyperparameters", record)
         for flags in ([], ["--knockout"]):
             assert run(["tune", "--data", corpus_dir, "--out", tmp_path / "tune",
-                        "--seed", 2, "--config", fast_config, "--budget", 1, *flags]) == 0
+                        "--seed", 2, "--config", fast_config, "--tune-budget", 1,
+                        *flags]) == 0
         assert rows[1] == 2 * rows[0] > 0
 
     def test_resolved_config_records_the_budget(
         self, corpus_dir, fast_config, tmp_path, monkeypatch
     ):
-        # the budget used to be recorded as the config's tune_budget (0), so
-        # a rerun from resolved_config.json ran 1 trial
+        # tune records the budget it ran, so a rerun from
+        # resolved_config.json runs the same trials
         budgets = []
 
         def record(X, y, X_val, y_val, budget, *args, **kwargs):
@@ -424,7 +425,7 @@ class TestTune:
         monkeypatch.setattr(model, "tune_hyperparameters", record)
         first = tmp_path / "first"
         assert run(["tune", "--data", corpus_dir, "--out", first, "--seed", 2,
-                    "--config", fast_config, "--budget", 2]) == 0
+                    "--config", fast_config, "--tune-budget", 2]) == 0
         resolved = first / "resolved_config.json"
         assert json.loads(resolved.read_text())["tune_budget"] == 2
         assert run(["tune", "--data", corpus_dir, "--out", tmp_path / "rerun",
@@ -445,7 +446,8 @@ class TestFlagsAreSettings:
     resolved_config.json."""
 
     NOT_SETTINGS = {
-        "data", "out", "config", "model", "name_counts", "drop", "budget",
+        # --jobs sets worker processes, which no result depends on
+        "data", "out", "config", "model", "name_counts", "drop", "jobs",
         "axes", "seeds", "pred", "gold", "facets", "func", "command",
     }
     SETTINGS = {
@@ -460,13 +462,19 @@ class TestFlagsAreSettings:
         "synth": ["--out", "o"],
         "cluster": ["--data", "d", "--out", "o", "--model", "m"],
     }
-    RUN_FLAGS = [
+    SETTING_FLAGS = [
         "--seed", 3, "--train-cap", 5000, "--val-cap", 400, "--tune-budget", 2,
         "--eps-budget", 3, "--linkage", "single", "--method", "dbscan",
         "--eps", 0.35, "--classifier", "linear", "--knockout",
         "--knockout-probability", 0.1, "--no-name-rules", "--no-nameless",
-        "--no-monotone", "--jobs", 2, "--drop", "title",
+        "--no-monotone", "--drop", "title",
     ]
+    # tune reads no jobs and takes no --jobs
+    RUN_FLAGS = {
+        "train": SETTING_FLAGS + ["--jobs", 2],
+        "tune": SETTING_FLAGS,
+        "ablate": SETTING_FLAGS + ["--jobs", 2],
+    }
 
     def parse(self, argv) -> dict:
         return vars(build_parser().parse_args([str(a) for a in argv]))
@@ -475,9 +483,14 @@ class TestFlagsAreSettings:
     def test_every_dest_is_a_setting_or_named(self, command):
         argv = self.REQUIRED.get(command, ["--data", "d", "--out", "o"])
         dests = set(self.parse([command, *argv]))
-        # cluster --jobs sets worker processes, which the clusters do not depend on
-        named = self.NOT_SETTINGS | ({"jobs"} if command == "cluster" else set())
-        assert dests - named <= self.SETTINGS[command]
+        assert dests - self.NOT_SETTINGS <= self.SETTINGS[command]
+
+    @pytest.mark.parametrize("flags", [["--jobs", 2], ["--budget", 2]])
+    def test_tune_takes_no_jobs_or_budget(self, flags):
+        # tune fits no member in a worker, and --tune-budget sets its budget
+        with pytest.raises(SystemExit) as exc:
+            self.parse(["tune", "--data", "d", "--out", "o", *flags])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", sorted(SETTINGS))
     def test_every_setting_flag_is_resolved(
@@ -499,7 +512,7 @@ class TestFlagsAreSettings:
                     "--method", "dbscan", "--eps", 0.3, "--no-name-rules"]
         else:
             argv = [command, "--data", corpus_dir, "--out", out,
-                    "--config", fast_config, *self.RUN_FLAGS]
+                    "--config", fast_config, *self.RUN_FLAGS[command]]
         assert run(argv) == 0
         parsed = self.parse(argv)
         flags = {key: parsed[key] for key in self.SETTINGS[command] if key in parsed}
@@ -509,10 +522,10 @@ class TestFlagsAreSettings:
         assert {key: resolved[key] for key in flags} == flags
         if command in ("train", "tune", "ablate"):
             assert resolved["drop_features"] == ["title"]
+        assert "jobs" not in resolved
 
     def test_absent_flags_keep_the_config(self, corpus_dir, tmp_path, monkeypatch):
-        # a flag not given overrides nothing, booleans included; --jobs always
-        # has a value (ANDLIB_JOBS or 1), so the config's jobs is left out
+        # a flag not given overrides nothing, booleans included
         doc = {
             "seed": 3, "fractions": [0.6, 0.2, 0.2], "train_cap": 5000, "val_cap": 400,
             "tune_budget": 2, "eps_budget": 3, "linkage": "single", "method": "dbscan",
@@ -521,7 +534,7 @@ class TestFlagsAreSettings:
             "use_nameless": False, "use_monotone": False, "classifier": "linear",
             "linear_regularization": 0.01, "name_rules": False,
         }
-        assert set(doc) == setting_names(RunConfig) - {"jobs"}
+        assert set(doc) == setting_names(RunConfig)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         monkeypatch.setattr(
@@ -644,6 +657,8 @@ class TestTypedErrors:
         ({"fractions": 5}, "'fractions'"),
         ({"fractions": [0.5, 0.5]}, "'fractions'"),
         ({"jobs": 0}, "'jobs'"),
+        # jobs is no config key: --jobs sets it, and it used to be ignored
+        ({"jobs": 2}, "'jobs'"),
         ({"train_cap": -5}, "'train_cap'"),
         ([1, 2], "JSON object"),
         # zero-size trees used to train a constant model and exit 0
@@ -654,7 +669,7 @@ class TestTypedErrors:
         ({"hyperparams": {"max_bins": 0}}, "'max_bins'"),
         ({"hyperparams": {"max_bins": 1}}, "'max_bins'"),
     ], ids=["eps_string", "eps_budget_string", "seed_string", "fractions_number",
-            "fractions_two", "jobs_zero", "train_cap_negative", "top_level_list",
+            "fractions_two", "jobs_zero", "jobs_two", "train_cap_negative", "top_level_list",
             "n_trees_zero", "max_depth_zero", "max_leaves_zero", "max_leaves_one",
             "max_bins_zero", "max_bins_one"])
     def test_bad_config_value(self, corpus_dir, tmp_path, doc, message):
@@ -955,11 +970,21 @@ class TestTypedErrors:
         assert run(["cluster", "--data", data, "--out", tmp_path / "o",
                     "--model", trained_dir / "model.json"]) == 0
 
+    @pytest.mark.parametrize("command", ["cluster", "train", "ablate"])
     @pytest.mark.parametrize("jobs", [0, -3])
-    def test_cluster_jobs_below_one(self, corpus_dir, trained_dir, tmp_path, jobs):
-        self.check(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
-                    "--model", trained_dir / "model.json", "--jobs", jobs], 2,
-                   message="--jobs")
+    def test_jobs_below_one(self, tmp_path, command, jobs):
+        # checked before any file is read: neither corpus nor model exists
+        argv = [command, "--data", tmp_path / "absent", "--out", tmp_path / "o",
+                "--jobs", jobs]
+        if command == "cluster":
+            argv += ["--model", tmp_path / "absent.json"]
+        self.check(argv, 2, message="--jobs")
+
+    def test_jobs_environment_below_one(self, tmp_path):
+        proc = run_process(["train", "--data", tmp_path / "absent", "--out", tmp_path / "o"],
+                           env={"ANDLIB_JOBS": "0"})
+        assert proc.stderr.startswith("error: ") and "--jobs" in proc.stderr, proc.stderr
+        assert proc.returncode == 2
 
     def test_non_integer_jobs_environment(self, corpus_dir, trained_dir, tmp_path):
         proc = run_process(["cluster", "--data", corpus_dir, "--out", tmp_path / "o",
@@ -973,12 +998,12 @@ class TestTypedErrors:
         cfg = tmp_path / "hp.json"
         cfg.write_text(json.dumps({"hyperparams": {"bogus": 1}}))
         self.check(["tune", "--data", corpus_dir, "--out", tmp_path / "t",
-                    "--config", cfg, "--budget", 1], 2)
+                    "--config", cfg, "--tune-budget", 1], 2)
 
     def test_tune_on_single_class_validation(self, tmp_path):
         data = tmp_path / "c30"
         assert run(["synth", "--out", data, "--seed", 0, "--authors", 30]) == 0
-        self.check(["tune", "--data", data, "--out", tmp_path / "t", "--budget", 1], 2)
+        self.check(["tune", "--data", data, "--out", tmp_path / "t", "--tune-budget", 1], 2)
 
     def test_synth_with_negative_seed(self, tmp_path):
         self.check(["synth", "--out", tmp_path / "o", "--seed", -1], 2, message="seed")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 
 import pytest
 
+from andlib import cluster
+from andlib.cluster import ClusterParams
 from andlib.corpus import split_blocks
 from andlib.errors import ConfigError
 from andlib.features import ADVANCED_NAME_FEATURES, default_schema
@@ -28,6 +31,16 @@ class TestRunConfig:
 
     def test_defaults_pass_the_value_checks(self):
         assert RunConfig.from_doc(RunConfig().to_doc()) == RunConfig()
+
+    def test_clustering_settings_are_declared_once(self):
+        # every clustering setting but eps (None = tune it) and its rule
+        # come from ClusterParams
+        run = {f.name: f for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(ClusterParams):
+            if f.name != "eps":
+                assert run[f.name].metadata["rule"] is f.metadata["rule"], f.name
+                assert run[f.name].default == f.default, f.name
+        assert run["eps"].default is None
 
     @pytest.mark.parametrize("doc, key", [
         ({"knockout": 1}, "'knockout'"),
@@ -142,6 +155,27 @@ class TestTrainPipeline:
         )
         with pytest.raises(ConfigError):
             train_pipeline(ds, RunConfig())
+
+    @pytest.mark.parametrize("eps", [0.42, None], ids=["fixed", "tuned"])
+    def test_cluster_params_are_the_run_settings(self, small_corpus, eps, monkeypatch):
+        settings = {"linkage": "single", "method": "dbscan", "dbscan_min_samples": 3,
+                    "name_rules": False}
+        tuned = []
+        real = cluster.tune_eps
+
+        def spy(val_blocks, ens, dataset, counts, gold, params, *args):
+            tuned.append(params)
+            return real(val_blocks, ens, dataset, counts, gold, params, *args)
+
+        monkeypatch.setattr(cluster, "tune_eps", spy)
+        cfg = RunConfig(seed=1, eps=eps, eps_budget=3, use_nameless=False,
+                        hyperparams={"n_trees": 5, "max_leaves": 4}, **settings)
+        result = train_pipeline(small_corpus, cfg)
+        assert result.cluster_params == ClusterParams(eps=result.report["eps"], **settings)
+        if eps is None:
+            assert [{k: getattr(p, k) for k in settings} for p in tuned] == [settings]
+        else:
+            assert result.report["eps"] == eps and not tuned
 
     def test_no_monotone_trains_unconstrained(self, small_corpus):
         cfg = RunConfig(
