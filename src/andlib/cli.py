@@ -200,24 +200,32 @@ def cmd_cluster(args) -> dict:
     return {"model": args.model, **params.to_doc()}
 
 
-def _parse_facets(arg: str | None) -> tuple[str, ...]:
-    if not arg:
+def _items(text: str | None, flag: str, parse=str) -> tuple:
+    """The comma-separated value of ``flag``, each item stripped and read by
+    ``parse``; () when the flag is not given. An empty or a repeated item is
+    refused."""
+    if text is None:
         return ()
-    facets = tuple(f.strip() for f in arg.split(",") if f.strip())
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise ConfigError(f"{flag} has an empty item: {text!r}")
+    items = tuple(map(parse, parts))
+    if len(set(items)) < len(items):
+        raise ConfigError(f"{flag} repeats an item: {text!r}")
+    return items
+
+
+def cmd_eval(args) -> dict:
+    facets = _items(args.facets, "--facets")
     unknown = set(facets) - set(metrics.FACETS)
     if unknown:
         raise ConfigError(
             f"unknown facets {sorted(unknown)}; valid: {', '.join(metrics.FACETS)}"
         )
-    return facets
-
-
-def cmd_eval(args) -> dict:
     dataset = _load_data(args)
     pred = load_partition(args.pred)
     gold_path = args.gold or os.path.join(args.data, "clusters.json")
     gold = load_partition(gold_path)
-    facets = _parse_facets(args.facets)
     report = pipeline.evaluate_partition(pred, gold, dataset, facets=facets)
     _write_json(report, args.out, "metrics.json")
     print(f"records: {report['records']}")
@@ -238,24 +246,17 @@ def cmd_eval(args) -> dict:
     return {"pred": args.pred, "gold": gold_path, "facets": list(facets)}
 
 
-def cmd_facets(args) -> dict:
-    if not args.facets:
-        raise ConfigError("facets command requires --facets")
-    return cmd_eval(args)
-
-
-def _seeds(text: str) -> tuple[int, ...]:
-    """The value of ``--seeds``: comma-separated integers >= 0."""
-    parts = [part.strip() for part in text.split(",")]
-    if not all(part.isdecimal() for part in parts):
+def _seed(text: str) -> int:
+    """One item of ``--seeds``: an integer >= 0."""
+    if not text.isdecimal():
         raise ConfigError(f"--seeds must be comma-separated integers >= 0, got {text!r}")
-    return tuple(map(int, parts))
+    return int(text)
 
 
 def cmd_ablate(args) -> dict:
     cfg = _run_config(args)
-    seeds = _seeds(args.seeds) if args.seeds else (cfg.seed,)
-    axes = tuple(a.strip() for a in (args.axes or "").split(",") if a.strip())
+    seeds = _items(args.seeds, "--seeds", _seed) or (cfg.seed,)
+    axes = _items(args.axes, "--axes")
     configs = pipeline.ablation_configs(cfg, axes)
     dataset = _load_data(args)
     rows = pipeline.run_ablation(
@@ -333,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_cluster)
 
-    for name, func, text in (
-        ("eval", cmd_eval, "score a predicted partition"),
-        ("facets", cmd_facets, "facet-sliced report for a prediction"),
+    for name, text in (
+        ("eval", "score a predicted partition"),
+        ("facets", "facet-sliced report for a prediction"),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--data", required=True)
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pred", required=True)
         p.add_argument("--gold")
         p.add_argument("--facets", required=name == "facets")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run ablation axes against a baseline")
     add_run_flags(p)

@@ -149,6 +149,22 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
+def probability(raw: np.ndarray) -> np.ndarray:
+    """``sigmoid(raw)`` clipped into ``[P_EPS, 1 - P_EPS]``."""
+    return np.clip(sigmoid(raw), P_EPS, 1.0 - P_EPS)
+
+
+class EnsembleMember:
+    """Base of a pairwise member: its probability is ``probability`` of the
+    ``raw_score`` the subclass defines."""
+
+    def predict_proba(self, v: np.ndarray, missing: Sequence[int] = ()) -> float | np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        single = v.ndim == 1
+        p = probability(self.raw_score(v, missing))
+        return float(p[0]) if single else p
+
+
 @dataclass
 class Tree:
     """One fitted tree as parallel node arrays; feature == -1 marks a leaf."""
@@ -184,7 +200,7 @@ class Tree:
 
 
 @dataclass
-class TreeEnsembleModel:
+class TreeEnsembleModel(EnsembleMember):
     """Boosted trees plus the metadata needed to apply them safely."""
 
     trees: list[Tree]
@@ -203,12 +219,6 @@ class TreeEnsembleModel:
             for scaled in self.learning_rate * leaves:
                 part += scaled
         return raw
-
-    def predict_proba(self, v: np.ndarray, missing: Sequence[int] = ()) -> float | np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        single = v.ndim == 1
-        p = np.clip(sigmoid(self.raw_score(v, missing)), P_EPS, 1.0 - P_EPS)
-        return float(p[0]) if single else p
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +637,7 @@ def fit_boosted_trees(
     step = np.empty(n, dtype=np.float64)
 
     for _ in range(hp.n_trees):
-        p = np.clip(sigmoid(raw), P_EPS, 1.0 - P_EPS)
+        p = probability(raw)
         g = p - y
         h = p * (1.0 - p)
         if hp.row_subsample < 1.0:

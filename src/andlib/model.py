@@ -28,13 +28,13 @@ from .features import (
     featurize_pairs,
 )
 from .gbt import (
+    EnsembleMember,
     HyperParams,
-    P_EPS,
     TreeEnsembleModel,
     Tree,
     fit_boosted_trees,
+    probability,
     sample_hyperparams,
-    sigmoid,
 )
 from .settings import is_int, is_number, read_json, write_json
 
@@ -136,7 +136,7 @@ def train_gbt(
 
 
 @dataclass
-class LinearModel:
+class LinearModel(EnsembleMember):
     """Logistic-regression baseline over median-imputed features."""
 
     weights: np.ndarray
@@ -151,12 +151,6 @@ class LinearModel:
         missing = list(missing)
         filled[:, missing] = self.medians[missing]
         return filled @ self.weights + self.bias
-
-    def predict_proba(self, v: np.ndarray, missing: Sequence[int] = ()) -> float | np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        single = v.ndim == 1
-        p = np.clip(sigmoid(self.raw_score(v, missing)), P_EPS, 1.0 - P_EPS)
-        return float(p[0]) if single else p
 
 
 def train_linear(
@@ -187,7 +181,7 @@ def train_linear(
     # the optimum unchanged
     for _ in range(50):
         raw = Z @ w + b
-        p = np.clip(sigmoid(raw), P_EPS, 1.0 - P_EPS)
+        p = probability(raw)
         grad_w = Z.T @ (p - y) / n + regularization * w
         grad_b = float(np.mean(p - y))
         if max(np.abs(grad_w).max(), abs(grad_b)) < 1e-10:

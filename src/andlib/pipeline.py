@@ -332,8 +332,6 @@ def train_cluster_eval(
 # ablation harness
 # ---------------------------------------------------------------------------
 
-LINKAGE_AXES = ("linkage:ward", "linkage:complete", "linkage:single")
-
 
 def ablation_axis_config(cfg: RunConfig, axis: str) -> RunConfig:
     """Translate one ablation axis name into a run configuration."""

@@ -14,6 +14,10 @@ metadata can split) or with an incompatible full first name sharing the
 initial (a trap that the cannot-link rule must keep apart). Name variants
 (first name reduced to an initial, dropped middle names) create synonyms
 within an author's own cluster.
+
+Fixed in the code, since no caller varies them: communities of 8 authors,
+16-dimensional embeddings, and the rates of dropped middle names, venue
+noise, missing years, German-language authors and self-citations.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .settings import UNIT, Settings, integer, is_int, number, setting
 
 _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
+_COMMUNITY_SIZE = 8
+_EMBEDDING_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -41,30 +47,28 @@ class GeneratorConfig(Settings):
     homonym_rate: float = setting(0.4, UNIT)
     same_community_collision: float = setting(0.35, UNIT)
     variant_rate: float = setting(0.25, UNIT)
-    middle_drop_rate: float = setting(0.5, UNIT)
-    community_size: int = setting(8, integer(1))
-    embedding_dim: int = setting(16, integer(0))
     embedding_noise: float = setting(0.8, number(0))
     affiliation_missing: float = setting(0.3, UNIT)
     email_missing: float = setting(0.55, UNIT)
     venue_missing: float = setting(0.15, UNIT)
-    year_missing: float = setting(0.05, UNIT)
     abstract_missing: float = setting(0.3, UNIT)
-    venue_noise: float = setting(0.15, UNIT)
     coauthor_noise: float = setting(0.2, UNIT)
-    other_language_rate: float = setting(0.08, UNIT)
-    self_cite_rate: float = setting(0.3, UNIT)
     #: fraction of venue/title/affiliation signal drawn from community-wide
     #: pools instead of the author's own; 1.0 makes same-community homonyms
     #: separable only by embeddings, co-authors, references, and email
     shared_metadata: float = setting(0.0, UNIT)
 
 
+def _pick(rng: np.random.Generator, seq):
+    """One uniformly drawn item of ``seq``."""
+    return seq[int(rng.integers(len(seq)))]
+
+
 def _word(rng: np.random.Generator, n_syllables: int) -> str:
     parts = []
     for _ in range(n_syllables):
-        parts.append(_CONSONANTS[rng.integers(len(_CONSONANTS))])
-        parts.append(_VOWELS[rng.integers(len(_VOWELS))])
+        parts.append(_pick(rng, _CONSONANTS))
+        parts.append(_pick(rng, _VOWELS))
     return "".join(parts)
 
 
@@ -102,7 +106,7 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
         raise ConfigError("name collisions require at least two authors")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_communities = max(1, cfg.n_authors // cfg.community_size)
+    n_communities = max(1, cfg.n_authors // _COMMUNITY_SIZE)
     topic_vocab = [_word(rng, 3) for _ in range(40 * n_communities)]
     global_venues = [
         f"journal of {_word(rng, 3)} {_word(rng, 2)}" for _ in range(3 * n_communities)
@@ -114,15 +118,20 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
     ghost_pool = [
         f"{_name_word(rng)} {_name_word(rng)}" for _ in range(6 * n_communities)
     ]
+    # each community's own slice of the four pools
+    topic_pools = [topic_vocab[c * 40 : (c + 1) * 40] for c in range(n_communities)]
+    venue_pools = [global_venues[c * 3 : (c + 1) * 3] for c in range(n_communities)]
+    institution_pools = [institutions[c * 2 : (c + 1) * 2] for c in range(n_communities)]
+    ghost_pools = [ghost_pool[c * 6 : (c + 1) * 6] for c in range(n_communities)]
 
     # --- author identities -------------------------------------------------
     authors: list[_Author] = []
-    pockets: dict[tuple[str, str], list[int]] = {}
+    pockets: set[tuple[str, str]] = set()
     for idx in range(cfg.n_authors):
         community = int(rng.integers(n_communities))
         collide = bool(rng.random() < cfg.collision_rate) and len(authors) > 0
         if collide:
-            other = authors[int(rng.integers(len(authors)))]
+            other = _pick(rng, authors)
             last = other.last
             if rng.random() < cfg.same_community_collision:
                 community = other.community  # homonym with similar metadata
@@ -145,67 +154,48 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
             last=last,
             community=community,
         )
-        pockets.setdefault((first[0], last), []).append(idx)
+        pockets.add((first[0], last))
 
-        topic_lo = community * 40
-        author.topic = [
-            topic_vocab[topic_lo + int(rng.integers(40))] for _ in range(10)
-        ]
-        author.institution = institutions[community * 2 + int(rng.integers(2))]
+        author.topic = [_pick(rng, topic_pools[community]) for _ in range(10)]
+        author.institution = _pick(rng, institution_pools[community])
         author.affiliation = author.institution + f" department of {_word(rng, 2)}"
         author.email = f"{first}.{last}{idx}@u{community}.edu"
-        v_lo = community * 3
-        author.venues = [
-            global_venues[v_lo + int(rng.integers(3))] for _ in range(2)
-        ]
-        pool_lo = community * 6
+        author.venues = [_pick(rng, venue_pools[community]) for _ in range(2)]
         k_collab = int(rng.integers(2, 6))
-        author.collaborators = [
-            ghost_pool[pool_lo + int(rng.integers(6))] for _ in range(k_collab)
-        ]
-        author.centroid = rng.normal(size=cfg.embedding_dim)
+        author.collaborators = [_pick(rng, ghost_pools[community]) for _ in range(k_collab)]
+        author.centroid = rng.normal(size=_EMBEDDING_DIM)
         author.start_year = int(rng.integers(1985, 2016))
         author.span = int(rng.integers(3, 16))
-        author.language = "en" if rng.random() >= cfg.other_language_rate else "de"
+        author.language = "en" if rng.random() >= 0.08 else "de"
         authors.append(author)
 
     # --- background papers (citation targets) ------------------------------
     papers: dict[str, Paper] = {}
-    n_background = 3 * cfg.n_authors
-    bg_ids: list[str] = []
-    for b in range(n_background):
-        pid = f"bg{b:05d}"
-        bg_ids.append(pid)
+    bg_ids = [f"bg{b:05d}" for b in range(3 * cfg.n_authors)]
+    for pid in bg_ids:
         n_auth = int(rng.integers(1, 4))
-        names = [ghost_pool[int(rng.integers(len(ghost_pool)))] for _ in range(n_auth)]
+        names = [_pick(rng, ghost_pool) for _ in range(n_auth)]
         papers[pid] = Paper(
             paper_id=pid,
-            title=" ".join(
-                topic_vocab[int(rng.integers(len(topic_vocab)))] for _ in range(5)
-            ),
-            venue=global_venues[int(rng.integers(len(global_venues)))],
+            title=" ".join(_pick(rng, topic_vocab) for _ in range(5)),
+            venue=_pick(rng, global_venues),
             year=int(rng.integers(1980, 2020)),
             author_names=tuple(n.title() for n in names),
         )
     for author in authors:
-        author.citation_pool = [
-            bg_ids[int(rng.integers(n_background))] for _ in range(8)
-        ]
+        author.citation_pool = [_pick(rng, bg_ids) for _ in range(8)]
     community_citations = [
-        [bg_ids[int(rng.integers(n_background))] for _ in range(12)]
-        for _ in range(n_communities)
+        [_pick(rng, bg_ids) for _ in range(12)] for _ in range(n_communities)
     ]
 
     # --- papers and signatures ---------------------------------------------
     signatures: dict[str, Signature] = {}
     gold: dict[str, str] = {}
-    sig_counter = 0
-    paper_counter = 0
     for author in authors:
         n_papers = 1 + int(rng.poisson(max(cfg.mean_papers - 1.0, 0.0)))
         for _ in range(n_papers):
-            pid = f"p{paper_counter:05d}"
-            paper_counter += 1
+            # one signature per paper: both are numbered in order
+            pid = f"p{len(signatures):05d}"
 
             # focal name as printed on this paper (variants create synonyms)
             first, middle = author.first, author.middle
@@ -215,9 +205,9 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
                 first = first.title()
             if middle is not None:
                 r = rng.random()
-                if r < cfg.middle_drop_rate:
+                if r < 0.5:
                     middle = None
-                elif r < cfg.middle_drop_rate + 0.25:
+                elif r < 0.75:
                     middle = middle[0].upper() + "."
                 else:
                     middle = middle.title()
@@ -229,58 +219,46 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
             coauthors = []
             for _ in range(n_co):
                 if rng.random() < cfg.coauthor_noise:
-                    coauthors.append(
-                        ghost_pool[int(rng.integers(len(ghost_pool)))]
-                    )
+                    coauthors.append(_pick(rng, ghost_pool))
                 else:
-                    coauthors.append(
-                        author.collaborators[
-                            int(rng.integers(len(author.collaborators)))
-                        ]
-                    )
+                    coauthors.append(_pick(rng, author.collaborators))
             coauthors = [c.title() for c in dict.fromkeys(coauthors)]
             position = int(rng.integers(1, len(coauthors) + 2))
             names = coauthors[: position - 1] + [focal_name] + coauthors[position - 1 :]
 
-            if rng.random() < cfg.venue_noise:
-                venue = global_venues[int(rng.integers(len(global_venues)))]
+            if rng.random() < 0.15:
+                venue = _pick(rng, global_venues)
             elif rng.random() < cfg.shared_metadata:
-                v_lo = author.community * 3
-                venue = global_venues[v_lo + int(rng.integers(3))]
+                venue = _pick(rng, venue_pools[author.community])
             else:
-                venue = author.venues[int(rng.integers(len(author.venues)))]
+                venue = _pick(rng, author.venues)
             year = author.start_year + int(rng.integers(0, author.span))
-            topic_lo = author.community * 40
             title_words = []
             for _ in range(int(rng.integers(5, 9))):
                 if rng.random() >= 0.6:
-                    title_words.append(
-                        topic_vocab[int(rng.integers(len(topic_vocab)))]
-                    )
+                    title_words.append(_pick(rng, topic_vocab))
                 elif rng.random() < cfg.shared_metadata:
-                    title_words.append(topic_vocab[topic_lo + int(rng.integers(40))])
+                    title_words.append(_pick(rng, topic_pools[author.community]))
                 else:
-                    title_words.append(
-                        author.topic[int(rng.integers(len(author.topic)))]
-                    )
+                    title_words.append(_pick(rng, author.topic))
             refs = set()
             for _ in range(int(rng.integers(3, 9))):
                 if rng.random() < cfg.shared_metadata:
                     pool = community_citations[author.community]
                 else:
                     pool = author.citation_pool
-                refs.add(pool[int(rng.integers(len(pool)))])
-            refs.add(bg_ids[int(rng.integers(n_background))])
-            if author.paper_ids and rng.random() < cfg.self_cite_rate:
-                refs.add(author.paper_ids[int(rng.integers(len(author.paper_ids)))])
+                refs.add(_pick(rng, pool))
+            refs.add(_pick(rng, bg_ids))
+            if author.paper_ids and rng.random() < 0.3:
+                refs.add(_pick(rng, author.paper_ids))
 
             embedding = author.centroid + cfg.embedding_noise * rng.normal(
-                size=cfg.embedding_dim
+                size=_EMBEDDING_DIM
             )
 
             has_abstract = rng.random() >= cfg.abstract_missing
             has_venue = rng.random() >= cfg.venue_missing
-            has_year = rng.random() >= cfg.year_missing
+            has_year = rng.random() >= 0.05
             papers[pid] = Paper(
                 paper_id=pid,
                 title=" ".join(title_words),
@@ -288,7 +266,6 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
                     f"study of {' '.join(title_words[:3])}" if has_abstract else None
                 ),
                 venue=venue if has_venue else None,
-                journal=None,
                 year=year if has_year else None,
                 author_names=tuple(names),
                 reference_ids=frozenset(refs),
@@ -297,8 +274,7 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
             )
             author.paper_ids.append(pid)
 
-            sid = f"s{sig_counter:05d}"
-            sig_counter += 1
+            sid = f"s{len(signatures):05d}"
             has_affiliation = rng.random() >= cfg.affiliation_missing
             has_email = rng.random() >= cfg.email_missing
             shown_affiliation = (
@@ -322,7 +298,6 @@ def generate_synthetic_corpus(seed: int, config: GeneratorConfig | None = None) 
         papers=papers,
         signatures=signatures,
         gold=Partition(gold),
-        splits=None,
     )
 
 

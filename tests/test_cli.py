@@ -796,8 +796,10 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("doc, message", [
         ({"n_authors": "x"}, "'n_authors'"),
-        ({"community_size": 0}, "'community_size'"),
-    ], ids=["n_authors_string", "community_size_zero"])
+        ({"n_authors": 0}, "'n_authors'"),
+        # fixed in the generator, no longer a setting
+        ({"community_size": 8}, "unknown generator settings: ['community_size']"),
+    ], ids=["n_authors_string", "n_authors_zero", "fixed_community_size"])
     def test_bad_generator_config(self, tmp_path, doc, message):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps(doc))
@@ -1012,6 +1014,25 @@ class TestTypedErrors:
     def test_ablate_with_bad_seeds(self, corpus_dir, fast_config, tmp_path, seeds):
         self.check(["ablate", "--data", corpus_dir, "--out", tmp_path / "o",
                     "--config", fast_config, "--seeds", seeds], 2, message="--seeds")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--facets", "year,year", "repeats an item"),
+        ("--facets", "year,", "has an empty item"),
+        ("--seeds", "0,0", "repeats an item"),
+        ("--seeds", "1,01", "repeats an item"),
+        ("--seeds", "0,,1", "has an empty item"),
+        ("--axes", "linear,linear", "repeats an item"),
+        ("--axes", ",linear", "has an empty item"),
+    ], ids=["facets_repeated", "facets_empty", "seeds_repeated", "seeds_same_number",
+            "seeds_empty", "axes_repeated", "axes_empty"])
+    def test_comma_list_with_repeated_or_empty_item(self, tmp_path, flag, value, message):
+        # checked before any file is read. A repeated facet used to be written
+        # twice to facets.tsv, a repeated seed averaged twice and a repeated
+        # axis trained twice; an empty facet or axis was dropped silently
+        argv = ["ablate", "--data", tmp_path / "absent", "--out", tmp_path / "o", flag, value]
+        if flag == "--facets":
+            argv[0:1] = ["eval", "--pred", tmp_path / "absent.json"]
+        self.check(argv, 2, message=f"{flag} {message}")
 
     @pytest.mark.parametrize("bad", ["non_utf8", "nested", "repeated_key"])
     @pytest.mark.parametrize("kind", [

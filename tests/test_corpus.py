@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -25,6 +26,7 @@ from andlib.errors import (
     ParseError,
 )
 from andlib.synthetic import GeneratorConfig, generate_synthetic_corpus
+from test_acceptance import HARD_CONFIG
 
 VALID_PAPERS = {
     "p1": {
@@ -381,3 +383,33 @@ class TestGenerator:
                     for y in by_author[authors[bi]][:3]:
                         cross.append(float(vecs[x] @ vecs[y]))
         assert np.mean(same) > np.mean(cross) + 0.2
+
+
+class TestGeneratorBytePin:
+    """The files of seeded corpora, pinned by digest. The cases reach every
+    branch of the generator: the community pools (``shared_metadata`` > 0),
+    the trap and homonym collisions, and one paper per author. A change to a
+    digest changes every corpus the tests and the bench are built on."""
+
+    CASES = {
+        "default": (3, GeneratorConfig(),
+                    "902965f0930b9ec63ac93181defcd3dd384d6ac4dd42453e6ac01bf7abff1aff"),
+        "hard": (42, HARD_CONFIG,
+                 "97d3761c05db01b13466e3decb335b518e6041bafb7212e22e6516d7c1daf100"),
+        "trap": (4, GeneratorConfig(n_authors=2, collision_rate=1.0, homonym_rate=0.0),
+                 "044c7da82fda0366baabcd03c442758fb082aac5a9c564af21840b41202096fc"),
+        "homonym": (4, GeneratorConfig(n_authors=2, collision_rate=1.0, homonym_rate=1.0),
+                    "df956d91defaa643c2ab2669582ad041b25dfed8bf675642415a1f9b6f833964"),
+        "one_paper_each": (5, GeneratorConfig(mean_papers=1),
+                           "b0cbf4afb4544beeeba51dcf7c0643f6bdd8f89c7e7e47f82a2f82cd40da4bd1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_corpus_files_digest(self, tmp_path, case):
+        seed, cfg, digest = self.CASES[case]
+        save_dataset(generate_synthetic_corpus(seed, cfg), tmp_path)
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(tmp_path)):
+            h.update(name.encode())
+            h.update((tmp_path / name).read_bytes())
+        assert h.hexdigest() == digest
